@@ -119,48 +119,6 @@ def ks_statistic(samples: Sequence[float], cdf: Callable[[float], float]) -> flo
     return float(max(upper, lower))
 
 
-def weak_error_estimate(
-    model: PDifMPModel,
-    exact_flow,
-    F: Callable[[tuple, int], float],
-    h: float,
-    M: int,
-    seed: int,
-    em=None,
-) -> tuple[float, float]:
-    """Common-driver Monte Carlo estimate of E[F(approx_T)] - E[F(exact_T)].
-
-    Runs M coupled pairs (discretised side first) and returns the mean of
-    the paired differences with its standard error.  Models without a
-    closed-form flow cannot be estimated this way.
-    """
-    if exact_flow is None:
-        raise ValueError(f"model {model.name!r} has no exact flow; weak error needs one")
-    if M < 1:
-        raise ValueError(f"at least one path required, got {M!r}")
-    if em is None:
-        from .flows import EulerMaruyama
-
-        em = EulerMaruyama()
-    total = 0.0
-    total_sq = 0.0
-    stream = DriverStream(seed, 0)
-    for j in range(M):
-        stream.reset(seed, j)
-        em_traj, exact_traj = simulate_coupled_pair(
-            model, em, exact_flow, stream, h=h, stride=None
-        )
-        d = float(
-            F(tuple(em_traj.values[-1]), int(em_traj.interval_modes[-1]))
-            - F(tuple(exact_traj.values[-1]), int(exact_traj.interval_modes[-1]))
-        )
-        total += d
-        total_sq += d * d
-    mean = total / M
-    var = max(total_sq / M - mean * mean, 0.0) * (M / max(M - 1, 1))
-    return mean, math.sqrt(var / M)
-
-
 def grow_weak_error_estimate(
     model: PDifMPModel,
     exact_flow,
@@ -172,10 +130,19 @@ def grow_weak_error_estimate(
     max_paths: int = 2_500_000,
     em=None,
 ) -> tuple[float, float, int]:
-    """Grow the path count until the standard error is small relative to the
-    estimate (or the cap is hit); returns (estimate, stderr, paths used)."""
+    """Common-driver Monte Carlo estimate of E[F(approx_T)] - E[F(exact_T)].
+
+    Path ``j`` runs one coupled pair (discretised side first) on the stream
+    keyed by ``(seed, j)``.  Starting from ``pilot`` pairs, the path count
+    grows until the standard error is small relative to the estimate or
+    ``max_paths`` is reached; ``pilot = max_paths = M`` gives a fixed-size
+    estimate over M pairs.  Returns (estimate, stderr, paths used).  Models
+    without a closed-form flow cannot be estimated this way.
+    """
     if exact_flow is None:
         raise ValueError(f"model {model.name!r} has no exact flow; weak error needs one")
+    if pilot < 1:
+        raise ValueError(f"at least one pilot path required, got {pilot!r}")
     if em is None:
         from .flows import EulerMaruyama
 

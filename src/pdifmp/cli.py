@@ -2,7 +2,7 @@
 
 Subcommands: ``run <config.json>``, ``validate <config.json>``,
 ``list-models``.  Outputs are deterministic per (config, seed): files are
-byte-identical across reruns and thread counts.  Exit codes: 0 success,
+byte-identical across reruns.  Exit codes: 0 success,
 2 metric outside its acceptance band, 1 runtime failure, 64 bad config.
 """
 
@@ -12,10 +12,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +26,7 @@ from .analysis import (
     sup_difference,
 )
 from .core import Trajectory, validate_model
-from .drivers import fork_for_path
+from .drivers import DriverStream
 from .errors import ConfigError
 from .jump_engine import simulate_coupled_pair, simulate_path
 from .models import build_model, list_model_ids
@@ -55,7 +53,6 @@ class ExperimentConfig:
     paths: int = 200
     seed: int = 12345
     out_dir: str = "results"
-    threads: int = 1
     seeds: int = 50
     slope_band: tuple[float, float] = (0.35, 0.65)
     ratio_band: tuple[float, float] = (1.4, 2.8)
@@ -108,8 +105,6 @@ class ExperimentConfig:
             raise ConfigError(f"paths must be >= 1, got {self.paths!r}")
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1, got {self.seeds!r}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads!r}")
         if len(self.slope_band) != 2 or len(self.ratio_band) != 2:
             raise ConfigError("bands must be [lo, hi] pairs")
 
@@ -147,13 +142,6 @@ def _jsonable(obj):
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n")
-
-
-def _map_indexed(fn, n: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -226,14 +214,12 @@ def _run_strong_convergence(cfg: ExperimentConfig, out: Path) -> int:
         raise ConfigError(f"model {cfg.model['id']!r} has no exact flow for strong-error coupling")
     em = built.em
     report = ConvergenceReport("strong_rmse")
+    stream = DriverStream(cfg.seed, 0)
     for li, h in enumerate(cfg.h_list):
-        offset = li * cfg.paths
-
-        def pair_for(j: int):
-            stream = fork_for_path(cfg.seed, offset + j)
-            return simulate_coupled_pair(built.model, em, built.exact, stream, h=h)
-
-        pairs = _map_indexed(pair_for, cfg.paths, cfg.threads)
+        pairs = []
+        for j in range(cfg.paths):
+            stream.reset(cfg.seed, li * cfg.paths + j)
+            pairs.append(simulate_coupled_pair(built.model, em, built.exact, stream, h=h))
         rmse = strong_rmse(pairs)
         # standard error via the delta method at the worst grid index
         n_common = min(len(p[0].times) for p in pairs)
@@ -328,11 +314,12 @@ def _run_glioma_sweep(cfg: ExperimentConfig, out: Path) -> int:
     rows = []
     ok = True
     runs = [(l0, l1) for l0 in lam0_list for l1 in lam1_list]
+    stream = DriverStream(cfg.seed, 0)
     for ri, (lam0, lam1) in enumerate(runs):
         kw = cfg.model_kwargs()
         kw.update(lambda0=lam0, lambda1=lam1)
         built = build_model("glioma", **kw)
-        stream = fork_for_path(cfg.seed, ri)
+        stream.reset(cfg.seed, ri)
         traj = simulate_path(
             built.model, built.em, stream, h=h, stride=cfg.trajectory_stride
         )
@@ -393,14 +380,12 @@ def _run_tem_vs_tsm(cfg: ExperimentConfig, out: Path) -> int:
     tsm = built.splitting
     rows = []
     medians = []
+    stream = DriverStream(cfg.seed, 0)
     for h in cfg.h_list:
-
-        def sup_for(s: int) -> float:
-            stream = fork_for_path(cfg.seed + s, 0)
-            pair = simulate_coupled_pair(built.model, em, tsm, stream, h=h)
-            return sup_difference(pair)
-
-        sups = _map_indexed(sup_for, cfg.seeds, cfg.threads)
+        sups = []
+        for s in range(cfg.seeds):
+            stream.reset(cfg.seed + s, 0)
+            sups.append(sup_difference(simulate_coupled_pair(built.model, em, tsm, stream, h=h)))
         med = statistics.median(sups)
         medians.append(med)
         for s, v in enumerate(sups):
@@ -449,10 +434,6 @@ def _cmd_run(args) -> int:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.threads is not None:
-        cfg.threads = args.threads
-    elif os.environ.get("PDIFMP_THREADS"):
-        cfg.threads = int(os.environ["PDIFMP_THREADS"])
     if args.as_published:
         cfg.model["as_published"] = True
     cfg.validate()
@@ -490,7 +471,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--threads", type=int, default=None)
     p_run.add_argument(
         "--as-published",
         action="store_true",

@@ -35,6 +35,7 @@ class SimulationDivergedError(RuntimeError):
         super().__init__(msg)
         self.t = t
         self.y = y
+        self.detail = detail
 
 
 class RunawayRateError(RuntimeError):

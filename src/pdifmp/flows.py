@@ -79,43 +79,6 @@ def exact_gbm_flow(y0: float, mu: float, sigma: float, t: float, w_t: float) -> 
     return y0 * math.exp((mu - 0.5 * sigma * sigma) * t + sigma * w_t)
 
 
-def glioma_splitting_step(
-    state: tuple,
-    params,
-    h: float,
-    dw: float,
-    v_value: float,
-    freeze_at_updated_x: bool = True,
-) -> tuple:
-    """One Lie-Trotter cell for the (position, bound-receptors) system.
-
-    Composition order: first the position subflows (constant-coefficient
-    ballistic/decay ODE, then the exact multiplicative noise factor
-    ``exp(z dW)``), then the receptor relaxation with the position frozen.
-    ``freeze_at_updated_x`` selects whether the relaxation coefficients see
-    the updated position (composition order) or the cell's starting
-    position (for sensitivity checks).  The mode value is untouched.
-    """
-    x, z = state
-    try:
-        xi = h * (params.a - params.b) * z
-        x_new = math.exp(z * dw) * (math.exp(xi) * x + phi1(xi) * h * v_value)
-
-        x_for_z = x_new if freeze_at_updated_x else x
-        e = math.exp(-x_for_z)
-        conc = 1.0 / (1.0 + e)
-        conc_dx = e * conc * conc
-        kappa = params.k_plus * conc + params.k_minus
-        frac_da = params.k_plus * params.k_minus / (kappa * kappa)
-        eta = -h * kappa
-        z_new = math.exp(eta) * z + phi1(eta) * h * frac_da * v_value * conc_dx
-    except OverflowError:
-        raise SimulationDivergedError(math.nan, state, "overflow in splitting step") from None
-    if not (math.isfinite(x_new) and math.isfinite(z_new)):
-        raise SimulationDivergedError(math.nan, (x_new, z_new), "splitting step left the finite range")
-    return (x_new, z_new)
-
-
 @dataclass(frozen=True)
 class EulerMaruyama:
     """Generic drift/diffusion integrator; valid for any model."""
@@ -230,7 +193,15 @@ class GliomaEulerMaruyama(EulerMaruyama):
 
 @dataclass(frozen=True)
 class GliomaSplitting:
-    """Lie-Trotter splitting for the cell-migration system only."""
+    """Lie-Trotter splitting for the cell-migration system only.
+
+    One cell composes, in order, the position subflows (constant-coefficient
+    ballistic/decay ODE, then the exact multiplicative noise factor
+    ``exp(z dW)``) and the receptor relaxation with the position frozen.
+    ``freeze_at_updated_x`` selects whether the relaxation coefficients see
+    the updated position (composition order) or the cell's starting
+    position (for sensitivity checks).  The mode is untouched.
+    """
 
     params: object
     freeze_at_updated_x: bool = True
@@ -243,7 +214,7 @@ class GliomaSplitting:
         vel = model.modes.values[v]
         kp = p.k_plus
         km = p.k_minus
-        # identical arithmetic to glioma_splitting_step with phi1 inlined
+        # phi1 inlined: this step is on the hot path
         try:
             xi = h * (p.a - p.b) * z
             phi = math.expm1(xi) / xi if abs(xi) > _PHI1_SERIES_CUTOFF else (

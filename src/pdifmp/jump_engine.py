@@ -5,28 +5,33 @@ homogeneous Poisson process with rate ``rate_bound``: proposal ``k`` at
 time ``T*_k`` is accepted when ``U_k * rate_bound <= rate(state)``.  Every
 proposal time becomes a permanent grid point whether accepted or not; the
 flow advanced to test acceptance is kept.  Between consecutive events
-(start, proposals, horizon) the segment of length ``L`` is subdivided into
-``max(1, floor(L / h))`` equal cells, so cells never exceed ``2 h``, the
-segment's right endpoint is hit exactly, and two consumers sharing one
-driver stream walk identical grids.
+(start, proposals, horizon) the segment is subdivided into equal cells by
+``JumpAdaptedGrid``, so the segment's right endpoint is hit exactly and two
+consumers sharing one driver stream walk identical grids.
+
+The grid never depends on the state, so a path is simulated in two parts:
+a plan (``_plan``) that yields each proposal's segment grid and Wiener
+block from the stream, and a side loop (``_run_side``) that steps one
+integrator over the plan, applies the thinning test and the jumps, and
+records the trajectory.  The two sides of a coupled pair run the side loop
+one after the other over one materialised plan.
 
 Randomness consumption per path (see drivers): proposal waiting times in
 order; the acceptance uniform for proposal ``k`` at index ``k``; kernel
 uniforms in per-proposal pairs (mode, magnitude); one Wiener increment per
 grid cell in time order.  A path rerun with the same (seed, path_id) is
-bitwise identical on any thread count.
+bitwise identical.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import HybridState, PathStats, PDifMPModel, Trajectory, _sample_mode_raw, sample_mode
-from .drivers import DriverStream, fork_for_path
+from .drivers import DriverStream
 from .errors import RateBoundError, RunawayRateError, SimulationDivergedError
 
 DEFAULT_PROPOSAL_CAP = 10_000_000
@@ -46,75 +51,61 @@ def _count_excursions(values: np.ndarray, hint: tuple) -> list[int]:
 _FLUSH_THRESHOLD = 4096
 
 
-class _GridRecorder:
-    """Staged grid recording for one or more state columns sharing times.
-
-    Segment lists are swapped out on flush, so per-segment loops must
-    rebind their append methods after every ``maybe_flush``.
-    """
-
-    __slots__ = ("t_chunks", "v_chunks", "seg_t", "seg_v")
-
-    def __init__(self, t0: float, y0s: tuple) -> None:
-        self.t_chunks: list[np.ndarray] = []
-        self.v_chunks: list[list[np.ndarray]] = [[] for _ in y0s]
-        self.seg_t: list[float] = [t0]
-        self.seg_v: list[list[tuple]] = [[y0] for y0 in y0s]
-
-    def maybe_flush(self) -> None:
-        if len(self.seg_t) >= _FLUSH_THRESHOLD:
-            self.t_chunks.append(np.asarray(self.seg_t))
-            self.seg_t = []
-            for chunks, seg in zip(self.v_chunks, self.seg_v):
-                chunks.append(np.asarray(seg))
-            self.seg_v = [[] for _ in self.seg_v]
-
-    def finish(self, dim: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        if self.seg_t:
-            self.t_chunks.append(np.asarray(self.seg_t))
-            for chunks, seg in zip(self.v_chunks, self.seg_v):
-                chunks.append(np.asarray(seg).reshape(len(seg), dim))
-        times = np.concatenate(self.t_chunks) if len(self.t_chunks) > 1 else self.t_chunks[0]
-        columns = []
-        for chunks in self.v_chunks:
-            if len(chunks) > 1:
-                columns.append(np.concatenate([c.reshape(len(c), dim) for c in chunks]))
-            else:
-                columns.append(chunks[0].reshape(len(chunks[0]), dim))
-        return times, columns
-
-
-@dataclass(frozen=True)
 class JumpAdaptedGrid:
     """Equal-cell subdivision of one inter-event interval.
 
     ``n_cells = max(1, floor((right - left) / nominal_h))`` and the local
     step is ``(right - left) / n_cells``; the last point equals ``right``
-    exactly.
+    exactly.  Cells lie within ``[h/2, 2h]`` on intervals at least ``h``
+    long; a shorter interval is one cell of its own length.
     """
 
-    left: float
-    right: float
-    nominal_h: float
-    n_cells: int = field(init=False)
-    h_local: float = field(init=False)
+    __slots__ = ("left", "right", "nominal_h", "n_cells", "h_local")
 
-    def __post_init__(self) -> None:
-        if not self.nominal_h > 0.0:
-            raise ValueError(f"nominal step must be positive, got {self.nominal_h!r}")
-        if not self.right > self.left:
-            raise ValueError(f"empty interval [{self.left!r}, {self.right!r}]")
-        length = self.right - self.left
-        n = int(length / self.nominal_h)
+    def __init__(self, left: float, right: float, nominal_h: float) -> None:
+        if not nominal_h > 0.0:
+            raise ValueError(f"nominal step must be positive, got {nominal_h!r}")
+        if not right > left:
+            raise ValueError(f"empty interval [{left!r}, {right!r}]")
+        length = right - left
+        n = int(length / nominal_h)
         if n < 1:
             n = 1
-        object.__setattr__(self, "n_cells", n)
-        object.__setattr__(self, "h_local", length / n)
+        self.left = left
+        self.right = right
+        self.nominal_h = nominal_h
+        self.n_cells = n
+        self.h_local = length / n
 
     def points(self) -> np.ndarray:
         pts = self.left + self.h_local * np.arange(self.n_cells + 1)
         pts[-1] = self.right
         return pts
+
+
+def _recorded_cells(n: int, done: int, stride: int | None) -> list[int]:
+    """1-based cells of an ``n``-cell segment whose end values are recorded,
+    after ``done`` cells of the path: every ``stride``-th cell of the path
+    and the segment's last cell."""
+    if stride is None:
+        return [n]
+    cells = list(range(stride - done % stride, n, stride))
+    cells.append(n)
+    return cells
+
+
+def _grid_times(t0: float, grids: list[JumpAdaptedGrid], stride: int | None) -> np.ndarray:
+    """Recorded times of a path walked over ``grids``: the start, then the
+    recorded cell ends; segment ends are always recorded."""
+    if stride is None:
+        return np.array([t0] + [g.right for g in grids])
+    parts = [np.array([t0])]
+    done = 0
+    for g in grids:
+        pts = g.points()
+        parts.append(pts[1:] if stride == 1 else pts[_recorded_cells(g.n_cells, done, stride)])
+        done += g.n_cells
+    return np.concatenate(parts)
 
 
 def _apply_jump_transform(jump_update, y: tuple, v_new: int, u_mag: float, t: float) -> tuple:
@@ -155,6 +146,173 @@ def apply_jump(
     return HybridState(y_new, v_new, x_pre.t)
 
 
+def _check_args(h, T, stride, t0: float = 0.0) -> None:
+    if h is None or not h > 0.0:
+        raise ValueError(f"positive step size required, got {h!r}")
+    if not T > t0:
+        raise ValueError(f"horizon {T!r} must lie after the start time {t0!r}")
+    if stride is not None and stride < 1:
+        raise ValueError(f"stride must be a positive integer or None, got {stride!r}")
+
+
+def _plan(model: PDifMPModel, stream: DriverStream, t0: float, T: float, h: float, proposal_cap: int):
+    """Yield ``(k, t, grid, dws, tested)`` for proposals ``k = 1, 2, ...``.
+
+    ``t`` is proposal ``k``'s time ``t0 + T*_k`` capped at the horizon,
+    ``grid`` the segment from the previous event to ``t`` with its Wiener
+    block ``dws`` (both None for an empty segment), and ``tested`` whether
+    the proposal lies within the horizon.  The plan ends at the horizon.
+    """
+    bound = model.rate_bound
+    t_prev = t0
+    for k in range(1, proposal_cap + 1):
+        t_star = t0 + stream.proposal_time(k, bound)
+        t = t_star if t_star < T else T
+        if t > t_prev:
+            grid = JumpAdaptedGrid(t_prev, t, h)
+            yield k, t, grid, stream.wiener_block(grid.n_cells, grid.h_local), t_star <= T
+        else:
+            yield k, t, None, None, t_star <= T
+        if t_star >= T:
+            return
+        t_prev = t
+    raise RunawayRateError(f"proposal cap {proposal_cap} exceeded; rate_bound is likely far above the rate")
+
+
+def _run_side(
+    model: PDifMPModel,
+    integrator,
+    stream: DriverStream,
+    state: HybridState,
+    plan,
+    stride: int | None,
+    times: np.ndarray | None = None,
+    first_jump: bool = False,
+) -> Trajectory:
+    """Step one integrator from ``state`` over ``plan``, thinning and jumping.
+
+    ``stride`` controls interior recording as in ``simulate_path``.  The
+    recorded times are built from the grids walked unless ``times`` gives
+    them.  With ``first_jump`` the walk stops at the first accepted
+    proposal without applying its jump.
+    """
+    y = state.y
+    v = state.v
+    t0 = state.t
+    bound = model.rate_bound
+    strict = model.bound_policy == "error"
+    kernel = model.kernel
+    jump_update = model.jump_update
+    constrain = model.constrain
+    hint = model.state_space_hint
+    # at stride 1 every post-step state is recorded, so excursions are
+    # counted vectorised afterwards instead of per cell
+    exc = [0] * len(hint) if hint is not None and stride != 1 else None
+    step = integrator.step
+    # Segments whose interior is neither recorded nor inspected can run in
+    # one call; run_cells implementations perform cell-identical arithmetic.
+    run_cells = None
+    if stride is None and constrain is None and hint is None:
+        run_cells = getattr(integrator, "run_cells", None)
+
+    chunks: list[np.ndarray] = []
+    values: list[tuple] = [y]
+    grids: list[JumpAdaptedGrid] = []
+    jump_times: list[float] = [t0]
+    modes: list[int] = [v]
+    post_jumps: list[tuple] = []
+    n_prop = 0
+    n_acc = 0
+    n_cells = 0
+    violations = 0
+    rmin = math.inf
+    rmax = -math.inf
+
+    for k, t, grid, dws, tested in plan:
+        if grid is not None:
+            h_loc = grid.h_local
+            v_ap = values.append
+            try:
+                if run_cells is not None:
+                    y = run_cells(model, y, v, h_loc, dws)
+                    v_ap(y)
+                elif stride == 1:
+                    for dw in dws:
+                        y = step(model, y, v, h_loc, dw)
+                        if constrain is not None:
+                            y = constrain(y)
+                        v_ap(y)
+                else:
+                    marks = iter(_recorded_cells(grid.n_cells, n_cells, stride))
+                    mark = next(marks)
+                    for cell, dw in enumerate(dws, 1):
+                        y = step(model, y, v, h_loc, dw)
+                        if constrain is not None:
+                            y = constrain(y)
+                        if exc is not None:
+                            for j, (lo, hi) in enumerate(hint):
+                                c = y[j]
+                                if c < lo or c > hi:
+                                    exc[j] += 1
+                        if cell == mark:
+                            v_ap(y)
+                            mark = next(marks, 0)
+            except SimulationDivergedError as err:
+                raise SimulationDivergedError(grid.left, err.y, err.detail) from None
+            n_cells += grid.n_cells
+            grids.append(grid)
+            if len(values) >= _FLUSH_THRESHOLD:
+                chunks.append(np.asarray(values))
+                values = []
+        if not tested:
+            break
+        n_prop += 1
+        lam = model.rate(y, v)
+        if lam < rmin:
+            rmin = lam
+        if lam > rmax:
+            rmax = lam
+        if lam > bound:
+            if strict:
+                raise RateBoundError(lam, bound, y, v)
+            violations += 1
+        if stream.thinning_uniform(k) * bound <= lam:
+            n_acc += 1
+            if first_jump:
+                break
+            u_mode, u_mag = stream.kernel_slots(k)
+            v = _sample_mode_raw(kernel, y, v, u_mode)
+            if jump_update is not None:
+                y = _apply_jump_transform(jump_update, y, v, u_mag, t)
+            jump_times.append(t)
+            modes.append(v)
+            post_jumps.append(y)
+
+    if values:
+        chunks.append(np.asarray(values))
+    values_arr = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    if hint is not None and stride == 1:
+        exc = _count_excursions(values_arr, hint)
+    dim = len(y)
+    stats = PathStats(
+        n_proposals=n_prop,
+        n_accepted=n_acc,
+        n_cells=n_cells,
+        bound_violations=violations,
+        rate_min=rmin if n_prop else math.nan,
+        rate_max=rmax if n_prop else math.nan,
+        hint_excursions=tuple(exc) if exc is not None else (),
+    )
+    return Trajectory(
+        times=_grid_times(t0, grids, stride) if times is None else times,
+        values=values_arr,
+        jump_times=np.asarray(jump_times),
+        interval_modes=np.asarray(modes, dtype=np.int64),
+        post_jump_values=np.asarray(post_jumps).reshape(len(post_jumps), dim),
+        stats=stats,
+    )
+
+
 @dataclass
 class NextJumpResult:
     time: float
@@ -176,62 +334,26 @@ def next_jump(
 ) -> NextJumpResult:
     """Advance the flow to the first accepted proposal, or to the horizon.
 
-    Proposal waiting times continue the stream's exponential clock relative
-    to ``state.t``.  Rejected proposals still advance the flow and appear in
-    the returned grid samples.  The jump itself is not applied; pair with
-    ``apply_jump``.
+    Proposal ``k`` lies at ``state.t + T*_k``, where ``T*_k`` are the
+    stream's indexed proposal times, and is tested with the stream's
+    ``k``-th acceptance uniform; use a fresh stream per call, as for
+    ``simulate_path``.  Rejected proposals still advance the flow and appear
+    in the returned grid samples.  The jump itself is not applied; pair
+    with ``apply_jump``.
     """
     h = h if h is not None else integrator.step_hint
-    if h is None or not h > 0.0:
-        raise ValueError(f"positive step size required, got {h!r}")
     T = T if T is not None else model.horizon
-    if not state.t < T:
-        raise ValueError(f"state time {state.t!r} must precede the horizon {T!r}")
-    bound = model.rate_bound
-    strict = model.bound_policy == "error"
-    t_cur = state.t
-    y = state.y
-    v = state.v
-    times: list[float] = []
-    values: list[tuple] = []
-    n_prop = 0
-    while True:
-        if n_prop >= proposal_cap:
-            raise RunawayRateError(
-                f"no accepted jump after {proposal_cap} proposals; rate_bound is likely far above the rate"
-            )
-        t_star = t_cur + stream.next_proposal(bound)
-        target = t_star if t_star < T else T
-        y = _advance_segment(model, integrator, y, v, t_cur, target, h, stream, times, values)
-        t_cur = target
-        if t_star > T:
-            return NextJumpResult(T, y, False, times, values, n_prop)
-        n_prop += 1
-        lam = model.rate(y, v)
-        if lam > bound and strict:
-            raise RateBoundError(lam, bound, y, v)
-        if stream.next_uniform("thinning") * bound <= lam:
-            return NextJumpResult(t_cur, y, True, times, values, n_prop)
-
-
-def _advance_segment(model, integrator, y, v, t0, t1, nominal_h, stream, times, values) -> tuple:
-    if not t1 > t0:
-        return y
-    grid = JumpAdaptedGrid(t0, t1, nominal_h)
-    n, h_loc = grid.n_cells, grid.h_local
-    step = integrator.step
-    constrain = model.constrain
-    dws = stream.wiener_block(n, h_loc)
-    try:
-        for i in range(n):
-            y = step(model, y, v, h_loc, dws[i])
-            if constrain is not None:
-                y = constrain(y)
-            times.append(t1 if i == n - 1 else t0 + (i + 1) * h_loc)
-            values.append(y)
-    except SimulationDivergedError as err:
-        raise SimulationDivergedError(t0, err.y, str(err)) from None
-    return y
+    _check_args(h, T, 1, state.t)
+    plan = _plan(model, stream, state.t, T, h, proposal_cap)
+    traj = _run_side(model, integrator, stream, state, plan, 1, first_jump=True)
+    return NextJumpResult(
+        time=float(traj.times[-1]),
+        y=tuple(traj.values[-1].tolist()),
+        accepted=traj.stats.n_accepted > 0,
+        grid_times=traj.times[1:].tolist(),
+        grid_values=[tuple(row) for row in traj.values[1:].tolist()],
+        n_proposals=traj.stats.n_proposals,
+    )
 
 
 def simulate_path(
@@ -251,147 +373,10 @@ def simulate_path(
     jump time is a grid time.
     """
     h = h if h is not None else integrator.step_hint
-    if h is None or not h > 0.0:
-        raise ValueError(f"positive step size required, got {h!r}")
     T = T if T is not None else model.horizon
-    if not T > 0.0:
-        raise ValueError(f"positive horizon required, got {T!r}")
-    if stride is not None and stride < 1:
-        raise ValueError(f"stride must be a positive integer or None, got {stride!r}")
-
-    y = model.initial_state.y
-    v = model.initial_state.v
-    bound = model.rate_bound
-    strict = model.bound_policy == "error"
-    kernel = model.kernel
-    jump_update = model.jump_update
-    constrain = model.constrain
-    hint = model.state_space_hint
-    # at stride 1 every post-step state is recorded, so excursions are
-    # counted vectorised afterwards instead of per cell
-    exc = [0] * len(hint) if hint is not None and stride != 1 else None
-    step = integrator.step
-    # Segments whose interior is neither recorded nor inspected can run in
-    # one call; run_cells implementations perform cell-identical arithmetic.
-    fast_cells = (
-        stride is None and constrain is None and hint is None and hasattr(integrator, "run_cells")
-    )
-    run_cells = integrator.run_cells if fast_cells else None
-
-    rec = _GridRecorder(0.0, (y,))
-    jump_times: list[float] = [0.0]
-    modes: list[int] = [v]
-    post_jumps: list[tuple] = []
-
-    n_prop = 0
-    n_acc = 0
-    n_cells = 0
-    violations = 0
-    rmin = math.inf
-    rmax = -math.inf
-
-    t_cur = 0.0
-    k = 0
-    while True:
-        k += 1
-        if k > proposal_cap:
-            raise RunawayRateError(
-                f"proposal cap {proposal_cap} exceeded; rate_bound is likely far above the rate"
-            )
-        t_star = stream.proposal_time(k, bound)
-        target = t_star if t_star < T else T
-        if target > t_cur:
-            length = target - t_cur
-            n = int(length / h)
-            if n < 1:
-                n = 1
-            h_loc = length / n
-            dws = stream.wiener_block(n, h_loc)
-            t_ap = rec.seg_t.append
-            v_ap = rec.seg_v[0].append
-            try:
-                if run_cells is not None:
-                    y = run_cells(model, y, v, h_loc, dws)
-                    t_ap(target)
-                    v_ap(y)
-                elif stride == 1:
-                    for i in range(n):
-                        y = step(model, y, v, h_loc, dws[i])
-                        if constrain is not None:
-                            y = constrain(y)
-                        if exc is not None:
-                            for j, (lo, hi) in enumerate(hint):
-                                c = y[j]
-                                if c < lo or c > hi:
-                                    exc[j] += 1
-                        t_ap(target if i == n - 1 else t_cur + (i + 1) * h_loc)
-                        v_ap(y)
-                else:
-                    for i in range(n):
-                        y = step(model, y, v, h_loc, dws[i])
-                        if constrain is not None:
-                            y = constrain(y)
-                        if exc is not None:
-                            for j, (lo, hi) in enumerate(hint):
-                                c = y[j]
-                                if c < lo or c > hi:
-                                    exc[j] += 1
-                        if i == n - 1:
-                            t_ap(target)
-                            v_ap(y)
-                        elif stride is not None and (n_cells + i + 1) % stride == 0:
-                            t_ap(t_cur + (i + 1) * h_loc)
-                            v_ap(y)
-            except SimulationDivergedError as err:
-                raise SimulationDivergedError(t_cur, err.y, str(err)) from None
-            n_cells += n
-            t_cur = target
-            rec.maybe_flush()
-        if t_star > T:
-            break
-        n_prop += 1
-        lam = model.rate(y, v)
-        if lam < rmin:
-            rmin = lam
-        if lam > rmax:
-            rmax = lam
-        if lam > bound:
-            if strict:
-                raise RateBoundError(lam, bound, y, v)
-            violations += 1
-        if stream.thinning_uniform(k) * bound <= lam:
-            n_acc += 1
-            u_mode, u_mag = stream.kernel_slots(k)
-            v = _sample_mode_raw(kernel, y, v, u_mode)
-            if jump_update is not None:
-                y = _apply_jump_transform(jump_update, y, v, u_mag, t_cur)
-            jump_times.append(t_cur)
-            modes.append(v)
-            post_jumps.append(y)
-        if t_cur >= T:
-            break
-
-    dim = len(y)
-    times_arr, (values_arr,) = rec.finish(dim)
-    if hint is not None and stride == 1:
-        exc = _count_excursions(values_arr, hint)
-    stats = PathStats(
-        n_proposals=n_prop,
-        n_accepted=n_acc,
-        n_cells=n_cells,
-        bound_violations=violations,
-        rate_min=rmin if n_prop else math.nan,
-        rate_max=rmax if n_prop else math.nan,
-        hint_excursions=tuple(exc) if exc is not None else (),
-    )
-    return Trajectory(
-        times=times_arr,
-        values=values_arr,
-        jump_times=np.asarray(jump_times),
-        interval_modes=np.asarray(modes, dtype=np.int64),
-        post_jump_values=np.asarray(post_jumps).reshape(len(post_jumps), dim),
-        stats=stats,
-    )
+    _check_args(h, T, stride)
+    plan = _plan(model, stream, 0.0, T, h, proposal_cap)
+    return _run_side(model, integrator, stream, model.initial_state, plan, stride)
 
 
 def simulate_coupled_pair(
@@ -411,170 +396,24 @@ def simulate_coupled_pair(
     acceptance against its own state, so when the rate and kernel depend
     only on the mode the jump times and mode sequences coincide exactly.
     Each returned trajectory is bitwise identical to a single simulation of
-    its integrator with the same stream.
+    its integrator with the same stream.  A divergence error names the side
+    (``a`` or ``b``) and its integrator's kind.
     """
     h = h if h is not None else (integrator_a.step_hint or integrator_b.step_hint)
-    if h is None or not h > 0.0:
-        raise ValueError(f"positive step size required, got {h!r}")
     T = T if T is not None else model.horizon
-    if not T > 0.0:
-        raise ValueError(f"positive horizon required, got {T!r}")
-    if stride is not None and stride < 1:
-        raise ValueError(f"stride must be a positive integer or None, got {stride!r}")
-
-    ya = yb = model.initial_state.y
-    va = vb = model.initial_state.v
-    bound = model.rate_bound
-    strict = model.bound_policy == "error"
-    kernel = model.kernel
-    jump_update = model.jump_update
-    constrain = model.constrain
-    hint = model.state_space_hint
-    count_inline = hint is not None and stride != 1
-    exc_a = [0] * len(hint) if count_inline else None
-    exc_b = [0] * len(hint) if count_inline else None
-    step_a = integrator_a.step
-    step_b = integrator_b.step
-    fast_cells = (
-        stride is None
-        and constrain is None
-        and hint is None
-        and hasattr(integrator_a, "run_cells")
-        and hasattr(integrator_b, "run_cells")
-    )
-    run_a = integrator_a.run_cells if fast_cells else None
-    run_b = integrator_b.run_cells if fast_cells else None
-
-    rec = _GridRecorder(0.0, (ya, yb))
-    jumps_a: list[float] = [0.0]
-    jumps_b: list[float] = [0.0]
-    modes_a: list[int] = [va]
-    modes_b: list[int] = [vb]
-    post_a: list[tuple] = []
-    post_b: list[tuple] = []
-
-    sa = PathStats()
-    sb = PathStats()
-    n_cells = 0
-
-    t_cur = 0.0
-    k = 0
-    while True:
-        k += 1
-        if k > proposal_cap:
-            raise RunawayRateError(
-                f"proposal cap {proposal_cap} exceeded; rate_bound is likely far above the rate"
-            )
-        t_star = stream.proposal_time(k, bound)
-        target = t_star if t_star < T else T
-        if target > t_cur:
-            length = target - t_cur
-            n = int(length / h)
-            if n < 1:
-                n = 1
-            h_loc = length / n
-            dws = stream.wiener_block(n, h_loc)
-            t_ap = rec.seg_t.append
-            va_ap = rec.seg_v[0].append
-            vb_ap = rec.seg_v[1].append
-            try:
-                if run_a is not None:
-                    ya = run_a(model, ya, va, h_loc, dws)
-                    yb = run_b(model, yb, vb, h_loc, dws)
-                    t_ap(target)
-                    va_ap(ya)
-                    vb_ap(yb)
-                else:
-                    for i in range(n):
-                        dw = dws[i]
-                        ya = step_a(model, ya, va, h_loc, dw)
-                        yb = step_b(model, yb, vb, h_loc, dw)
-                        if constrain is not None:
-                            ya = constrain(ya)
-                            yb = constrain(yb)
-                        if exc_a is not None:
-                            for j, (lo, hi) in enumerate(hint):
-                                if not lo <= ya[j] <= hi:
-                                    exc_a[j] += 1
-                                if not lo <= yb[j] <= hi:
-                                    exc_b[j] += 1
-                        last = i == n - 1
-                        if last or stride == 1 or (stride is not None and (n_cells + i + 1) % stride == 0):
-                            t_ap(target if last else t_cur + (i + 1) * h_loc)
-                            va_ap(ya)
-                            vb_ap(yb)
-            except SimulationDivergedError as err:
-                raise SimulationDivergedError(t_cur, err.y, str(err)) from None
-            n_cells += n
-            t_cur = target
-            rec.maybe_flush()
-        if t_star > T:
-            break
-        u = stream.thinning_uniform(k)
-        u_mode = u_mag = None
-        for side in (0, 1):
-            y, v, st = (ya, va, sa) if side == 0 else (yb, vb, sb)
-            st.n_proposals += 1
-            lam = model.rate(y, v)
-            if lam < st.rate_min:
-                st.rate_min = lam
-            if lam > st.rate_max:
-                st.rate_max = lam
-            if lam > bound:
-                if strict:
-                    raise RateBoundError(lam, bound, y, v)
-                st.bound_violations += 1
-            if u * bound <= lam:
-                st.n_accepted += 1
-                if u_mode is None:
-                    u_mode, u_mag = stream.kernel_slots(k)
-                v = _sample_mode_raw(kernel, y, v, u_mode)
-                if jump_update is not None:
-                    y = _apply_jump_transform(jump_update, y, v, u_mag, t_cur)
-                if side == 0:
-                    ya, va = y, v
-                    jumps_a.append(t_cur)
-                    modes_a.append(v)
-                    post_a.append(y)
-                else:
-                    yb, vb = y, v
-                    jumps_b.append(t_cur)
-                    modes_b.append(v)
-                    post_b.append(y)
-        if t_cur >= T:
-            break
-
-    sa.n_cells = sb.n_cells = n_cells
-    if not sa.n_proposals:
-        sa.rate_min = sa.rate_max = math.nan
-    if not sb.n_proposals:
-        sb.rate_min = sb.rate_max = math.nan
-
-    dim = len(ya)
-    t_arr, (values_a, values_b) = rec.finish(dim)
-    if hint is not None and stride == 1:
-        exc_a = _count_excursions(values_a, hint)
-        exc_b = _count_excursions(values_b, hint)
-    sa.hint_excursions = tuple(exc_a) if exc_a is not None else ()
-    sb.hint_excursions = tuple(exc_b) if exc_b is not None else ()
-
-    traj_a = Trajectory(
-        times=t_arr,
-        values=values_a,
-        jump_times=np.asarray(jumps_a),
-        interval_modes=np.asarray(modes_a, dtype=np.int64),
-        post_jump_values=np.asarray(post_a).reshape(len(post_a), dim),
-        stats=sa,
-    )
-    traj_b = Trajectory(
-        times=t_arr.copy(),
-        values=values_b,
-        jump_times=np.asarray(jumps_b),
-        interval_modes=np.asarray(modes_b, dtype=np.int64),
-        post_jump_values=np.asarray(post_b).reshape(len(post_b), dim),
-        stats=sb,
-    )
-    return traj_a, traj_b
+    _check_args(h, T, stride)
+    plan = list(_plan(model, stream, 0.0, T, h, proposal_cap))
+    pair: list[Trajectory] = []
+    for side, integrator in (("a", integrator_a), ("b", integrator_b)):
+        # recorded times depend only on the plan: side b copies side a's
+        times = pair[0].times.copy() if pair else None
+        try:
+            pair.append(_run_side(model, integrator, stream, model.initial_state, plan, stride, times))
+        except SimulationDivergedError as err:
+            raise SimulationDivergedError(
+                err.t, err.y, f"side {side}, {integrator.kind}: {err.detail}"
+            ) from None
+    return pair[0], pair[1]
 
 
 def simulate_batch(
@@ -585,20 +424,16 @@ def simulate_batch(
     h: float | None = None,
     T: float | None = None,
     stride: int | None = 1,
-    threads: int = 1,
     path_offset: int = 0,
 ) -> list[Trajectory]:
     """Simulate ``n_paths`` independent paths, ordered by path index.
 
-    Path ``i`` uses the stream forked for ``path_offset + i``; results are
-    identical for any thread count.
+    Path ``i`` uses the stream keyed by ``(seed, path_offset + i)``, re-keyed
+    in place per path.
     """
-
-    def one(i: int) -> Trajectory:
-        stream = fork_for_path(seed, path_offset + i)
-        return simulate_path(model, integrator, stream, h=h, T=T, stride=stride)
-
-    if threads <= 1:
-        return [one(i) for i in range(n_paths)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(n_paths)))
+    stream = DriverStream(seed, path_offset)
+    paths = []
+    for i in range(n_paths):
+        stream.reset(seed, path_offset + i)
+        paths.append(simulate_path(model, integrator, stream, h=h, T=T, stride=stride))
+    return paths

@@ -9,11 +9,11 @@ from pdifmp import (
     build_model,
     fit_slope,
     fork_for_path,
+    grow_weak_error_estimate,
     ks_statistic,
     simulate_coupled_pair,
     strong_rmse,
     sup_difference,
-    weak_error_estimate,
 )
 from pdifmp.core import PathStats
 from pdifmp.errors import CouplingBrokenError
@@ -223,8 +223,8 @@ def F_first(y, v):
 
 def test_weak_error_zero_for_same_integrator():
     built = build_model("weak_test")
-    est, se = weak_error_estimate(
-        built.model, built.exact, F_first, h=0.25, M=200, seed=5, em=built.exact
+    est, se, _ = grow_weak_error_estimate(
+        built.model, built.exact, F_first, h=0.25, seed=5, pilot=200, max_paths=200, em=built.exact
     )
     assert est == 0.0
     assert se == 0.0
@@ -232,8 +232,8 @@ def test_weak_error_zero_for_same_integrator():
 
 def test_weak_error_zero_for_constant_functional():
     built = build_model("weak_test")
-    est, se = weak_error_estimate(
-        built.model, built.exact, lambda y, v: 42.0, h=0.25, M=100, seed=5, em=built.em
+    est, se, _ = grow_weak_error_estimate(
+        built.model, built.exact, lambda y, v: 42.0, h=0.25, seed=5, pilot=100, max_paths=100, em=built.em
     )
     assert est == 0.0 and se == 0.0
 
@@ -241,23 +241,37 @@ def test_weak_error_zero_for_constant_functional():
 def test_weak_error_requires_exact_flow():
     built = build_model("glioma")
     with pytest.raises(ValueError):
-        weak_error_estimate(built.model, None, F_first, h=0.1, M=10, seed=1)
+        grow_weak_error_estimate(built.model, None, F_first, h=0.1, seed=1, pilot=10, max_paths=10)
+
+
+def test_weak_error_requires_a_pilot_path():
+    built = build_model("weak_test")
+    with pytest.raises(ValueError):
+        grow_weak_error_estimate(built.model, built.exact, F_first, h=0.1, seed=1, pilot=0, max_paths=10)
 
 
 def test_weak_error_jump_free_bias_halves_with_h():
     # without jumps the paired estimator targets E[euler_T] - y0 e^{mu T},
     # which vanishes at first order in h
     built = build_model("weak_test", rate_value=0.0, mu=0.3, sigma=0.15)
-    e1, _ = weak_error_estimate(built.model, built.exact, F_first, h=2.0**-3, M=100_000, seed=8, em=built.em)
-    e2, _ = weak_error_estimate(built.model, built.exact, F_first, h=2.0**-4, M=100_000, seed=9, em=built.em)
+    e1, _, _ = grow_weak_error_estimate(
+        built.model, built.exact, F_first, h=2.0**-3, seed=8, pilot=100_000, max_paths=100_000, em=built.em
+    )
+    e2, _, _ = grow_weak_error_estimate(
+        built.model, built.exact, F_first, h=2.0**-4, seed=9, pilot=100_000, max_paths=100_000, em=built.em
+    )
     assert 1.3 < e1 / e2 < 3.0
 
 
 def test_weak_error_first_order_scaling_smoke():
     # coarse check at modest path counts: halving h roughly halves the bias
     built = build_model("weak_test")
-    e1, s1 = weak_error_estimate(built.model, built.exact, F_first, h=2.0**-3, M=150_000, seed=31, em=built.em)
-    e2, s2 = weak_error_estimate(built.model, built.exact, F_first, h=2.0**-4, M=150_000, seed=32, em=built.em)
+    e1, s1, _ = grow_weak_error_estimate(
+        built.model, built.exact, F_first, h=2.0**-3, seed=31, pilot=150_000, max_paths=150_000, em=built.em
+    )
+    e2, s2, _ = grow_weak_error_estimate(
+        built.model, built.exact, F_first, h=2.0**-4, seed=32, pilot=150_000, max_paths=150_000, em=built.em
+    )
     assert e1 < 0 and e2 < 0  # Euler under-drifts this model
     assert 1.2 < e1 / e2 < 3.4
 

@@ -108,15 +108,6 @@ def test_run_band_failure_exits_2(tmp_path):
     assert main(["run", str(cfg)]) == EXIT_BAND
 
 
-def test_outputs_byte_identical_across_threads(tmp_path):
-    cfg1 = write_config(tmp_path, paths=12, out_dir=str(tmp_path / "o1"))
-    assert main(["run", str(cfg1), "--threads", "1"]) == EXIT_OK
-    cfg2 = write_config(tmp_path, paths=12, out_dir=str(tmp_path / "o2"))
-    assert main(["run", str(cfg2), "--threads", "8"]) == EXIT_OK
-    for name in ("results.csv", "summary.json", "plot.csv"):
-        assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
-
-
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, paths=10, out_dir=str(tmp_path / "oa"))
     main(["run", str(cfg)])
@@ -176,18 +167,6 @@ def test_runtime_error_exits_1(tmp_path):
         tmp_path, experiment="weak_error", model={"id": "glioma"}, h_list=[0.01]
     )
     assert main(["run", str(cfg)]) == 1
-
-
-def test_threads_env_var_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("PDIFMP_THREADS", "4")
-    cfg = write_config(tmp_path, paths=6, out_dir=str(tmp_path / "env_out"))
-    assert main(["run", str(cfg)]) == EXIT_OK
-    monkeypatch.delenv("PDIFMP_THREADS")
-    cfg2 = write_config(tmp_path, paths=6, out_dir=str(tmp_path / "plain_out"))
-    assert main(["run", str(cfg2)]) == EXIT_OK
-    assert (tmp_path / "env_out" / "results.csv").read_bytes() == (
-        tmp_path / "plain_out" / "results.csv"
-    ).read_bytes()
 
 
 def test_shipped_configs_validate():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pdifmp import (
+    ModeSet,
     EulerMaruyama,
     ExactGBMFlow,
     GliomaSplitting,
@@ -14,7 +16,6 @@ from pdifmp import (
     em_step,
     exact_gbm_flow,
     fork_for_path,
-    glioma_splitting_step,
     phi1,
     simulate_coupled_pair,
 )
@@ -168,8 +169,15 @@ def test_phi1_positive_and_increasing_nearby(xi):
 TABLE_PARAMS = GliomaParams(k_plus=0.01, k_minus=0.01, a=0.5, b=0.2, lambda0=0.7, lambda1=0.08)
 
 
+def splitting_step(state, params, h, dw, velocity, freeze_at_updated_x=True):
+    # one splitting cell at a given velocity: the integrator reads the
+    # velocity from the model's mode set
+    model = replace(constant_rate_model(rate=0.0, rate_bound=1.0), modes=ModeSet((velocity,)))
+    return GliomaSplitting(params, freeze_at_updated_x).step(model, state, 0, h, dw)
+
+
 def test_splitting_step_identity_when_quiet():
-    out = glioma_splitting_step((0.4, 0.0), TABLE_PARAMS, 1e-3, 0.0, 0.0)
+    out = splitting_step((0.4, 0.0), TABLE_PARAMS, 1e-3, 0.0, 0.0)
     assert out[0] == 0.4
     assert out[1] == 0.0
 
@@ -178,33 +186,23 @@ def test_splitting_step_pure_ballistic():
     # z = 0 and matched attract/repel rates: x' = x + h * v
     params = GliomaParams(k_plus=0.01, k_minus=0.01, a=0.3, b=0.3, lambda0=0.7, lambda1=0.08)
     alpha = 0.25
-    out = glioma_splitting_step((0.1, 0.0), params, 1e-2, 0.0, alpha)
+    out = splitting_step((0.1, 0.0), params, 1e-2, 0.0, alpha)
     assert out[0] == pytest.approx(0.1 + 1e-2 * alpha, rel=1e-14)
 
 
 def test_splitting_step_frozen_composition():
     # high-precision hand composition of the three subflows
-    out = glioma_splitting_step((0.0, 0.5), TABLE_PARAMS, 1e-4, 0.0, 0.00021)
+    out = splitting_step((0.0, 0.5), TABLE_PARAMS, 1e-4, 0.0, 0.00021)
     assert out[0] == pytest.approx(2.1000157500787503e-08, rel=1e-13)
     assert out[1] == pytest.approx(0.49999925233389144, rel=1e-13)
 
 
 def test_splitting_step_freeze_choice_changes_relaxation_input():
-    out_post = glioma_splitting_step((0.0, 0.5), TABLE_PARAMS, 1e-4, 0.0, 0.00021, True)
-    out_pre = glioma_splitting_step((0.0, 0.5), TABLE_PARAMS, 1e-4, 0.0, 0.00021, False)
+    out_post = splitting_step((0.0, 0.5), TABLE_PARAMS, 1e-4, 0.0, 0.00021, True)
+    out_pre = splitting_step((0.0, 0.5), TABLE_PARAMS, 1e-4, 0.0, 0.00021, False)
     assert out_post[0] == out_pre[0]
     assert out_post[1] != out_pre[1]
     assert out_pre[1] == pytest.approx(0.49999925233389408, rel=1e-13)
-
-
-def test_splitting_integrator_matches_module_function():
-    built = build_model("glioma", lambda0=0.7, lambda1=0.08, a=0.5, b=0.2)
-    integ = GliomaSplitting(built.params)
-    state = (0.37, 0.42)
-    for dw in (0.0, 0.013, -0.21):
-        assert integ.step(built.model, state, 1, 1e-3, dw) == glioma_splitting_step(
-            state, built.params, 1e-3, dw, built.model.modes.values[1]
-        )
 
 
 def test_specialised_integrators_match_generic_bitwise():

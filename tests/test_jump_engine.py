@@ -6,6 +6,7 @@ from scipy import stats as scipy_stats
 
 from pdifmp import (
     EulerMaruyama,
+    ExactGBMFlow,
     HybridState,
     JumpAdaptedGrid,
     accept_candidate,
@@ -41,15 +42,24 @@ def test_grid_short_interval_single_cell():
 
 
 def test_grid_local_step_bounds():
+    # cells lie in [h/2, 2h] on segments at least h long; a shorter segment
+    # is one cell of its own length
     rng = np.random.default_rng(1)
+    short = [(float(rng.uniform(0, 5)), float(rng.uniform(1e-9, 1.0)), 0.0625) for _ in range(100)]
     for _ in range(200):
         left = float(rng.uniform(0, 5))
         length = float(rng.uniform(1e-6, 3.0))
         h = float(rng.uniform(1e-3, 1.0))
+        short.append((left, length * 1e-3, h))
         g = JumpAdaptedGrid(left, left + length, h)
         assert g.points()[-1] == left + length
         if length >= h:
             assert h / 2 <= g.h_local <= 2 * h
+    for left, fraction, h in short:
+        g = JumpAdaptedGrid(left, left + fraction * h, h)
+        assert g.n_cells == 1
+        assert g.h_local == g.right - g.left < h
+        assert g.points()[-1] == g.right
 
 
 def test_grid_rejects_bad_args():
@@ -165,6 +175,19 @@ def test_extreme_jump_magnitude_aborts_with_structured_error():
     built = build_model("example1", rate_value=1.0, magnitude_rate=1e-4)
     with pytest.raises(SimulationDivergedError):
         simulate_path(built.model, built.em, fork_for_path(3, 1), h=0.25)
+
+
+def test_coupled_divergence_names_side_and_integrator():
+    from pdifmp.errors import SimulationDivergedError
+
+    built = build_model("example1", rate_value=1.0, magnitude_rate=1e-4)
+    with pytest.raises(SimulationDivergedError, match="side a, euler_maruyama: overflow in the"):
+        simulate_coupled_pair(built.model, built.em, built.exact, fork_for_path(3, 1), h=0.25)
+    # representable jumps: only the second side's flow overflows
+    calm = build_model("example1", rate_value=1.0, magnitude_rate=1.0)
+    runaway = ExactGBMFlow(mu=1e6, sigma=0.0)
+    with pytest.raises(SimulationDivergedError, match="side b, exact_gbm: overflow in exact flow"):
+        simulate_coupled_pair(calm.model, calm.em, runaway, fork_for_path(3, 1), h=0.25)
 
 
 def test_runaway_proposals_raise():
@@ -347,11 +370,12 @@ def test_rate_bound_violation_counted_when_published_config():
     assert traj.jump_count == traj.stats.n_proposals
 
 
-def test_simulate_batch_thread_determinism():
+def test_simulate_batch_replays_single_paths():
+    # one re-keyed stream per batch replays each path's fresh fork bitwise
     built = build_model("example1", rate_value=0.5)
-    seq = simulate_batch(built.model, built.em, seed=13, n_paths=12, h=0.125, threads=1)
-    par = simulate_batch(built.model, built.em, seed=13, n_paths=12, h=0.125, threads=8)
-    for a, b in zip(seq, par):
+    batch = simulate_batch(built.model, built.em, seed=13, n_paths=12, h=0.125, path_offset=5)
+    for i, a in enumerate(batch):
+        b = simulate_path(built.model, built.em, fork_for_path(13, 5 + i), h=0.125)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.jump_times, b.jump_times)
