@@ -45,6 +45,14 @@ EXIT_BAND = 2
 EXIT_CONFIG = 64
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -93,18 +101,18 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; known: {EXPERIMENTS}")
         if not isinstance(self.model, dict) or "id" not in self.model:
             raise ConfigError("config.model must be an object with an 'id' key")
-        if not self.h_list:
-            raise ConfigError("h_list must be nonempty")
-        if any(not h > 0.0 for h in self.h_list):
-            raise ConfigError("h_list entries must be positive")
-        if list(self.h_list) != sorted(self.h_list, reverse=True) or len(set(self.h_list)) != len(
-            self.h_list
-        ):
+        if not isinstance(self.h_list, (list, tuple)) or not self.h_list:
+            raise ConfigError("h_list must be a nonempty list")
+        if any(not _is_real(h) or not h > 0.0 for h in self.h_list):
+            raise ConfigError(f"h_list entries must be positive numbers, got {self.h_list!r}")
+        if list(self.h_list) != sorted(self.h_list, reverse=True) or len(set(self.h_list)) != len(self.h_list):
             raise ConfigError("h_list must be strictly decreasing")
-        if self.paths < 1:
-            raise ConfigError(f"paths must be >= 1, got {self.paths!r}")
-        if self.seeds < 1:
-            raise ConfigError(f"seeds must be >= 1, got {self.seeds!r}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("paths", "seeds", "max_paths", "trajectory_stride"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if len(self.slope_band) != 2 or len(self.ratio_band) != 2:
             raise ConfigError("bands must be [lo, hi] pairs")
 

@@ -3,36 +3,40 @@
 Each path owns four independent substreams, one per kind of randomness the
 simulation consumes:
 
-* ``poisson``  -- exponential waiting times between proposed jump times,
-  generated by inverse CDF at a dominating rate fixed per stream;
-* ``thinning`` -- the uniforms that accept or reject each proposal;
-* ``kernel``   -- the uniforms that resample the mode (and, for models
+* ``poisson``  (0) -- exponential waiting times between proposed jump
+  times, generated by inverse CDF at a dominating rate fixed per stream;
+* ``thinning`` (1) -- the uniforms that accept or reject each proposal;
+* ``kernel``   (2) -- the uniforms that resample the mode (and, for models
   that rescale the continuous state at jumps, the jump magnitude);
-* ``wiener``   -- Gaussian increments for the Brownian driver.
+* ``wiener``   (3) -- Gaussian increments for the Brownian driver.
 
-Substreams are realised as Philox counter-based generators keyed by
-``(seed, path_id, substream)``, so a draw is a pure function of the seed,
-the path, the substream and the draw index: replays are bitwise identical
-on any thread count, forking a path stream is O(1), and draws from one
-substream never perturb another.
+Substream ``s`` of path ``path_id`` is numpy's Philox generator keyed by
+``(seed, (path_id << 3) | s)``, so a draw is a pure function of the seed,
+the path, the substream and the draw index: replays are bitwise identical,
+and draws from one substream never perturb another.  ``fork_for_path``
+builds four generators for a new stream; re-keying an existing stream
+with ``reset`` is several times cheaper, so loops over paths reuse one
+stream.
 
 Draw-order contract
 -------------------
-* Proposal waiting times: the k-th draw of the poisson substream is
-  ``-log1p(-u_k) / rate``; cumulative sums give the proposal times.  The
-  dominating rate is frozen at the first draw of a stream.
-* Thinning uniforms are indexed by proposal number ``k = 1, 2, ...``.
-* Kernel uniforms are allocated in pairs per proposal: slot
-  ``2*(k-1)`` resamples the mode of an accepted proposal ``k`` and slot
-  ``2*(k-1)+1`` feeds the optional jump-magnitude transform.  Rejected
-  proposals leave their pair unused (the uniforms are still defined, so
-  two consumers of one stream agree on every index even if their
-  accept/reject decisions differ).
-* Wiener increments are consumed in grid order, one per grid cell;
-  requesting a block of n increments is identical to n scalar requests.
+Indices are 1-based, and ``counters[s]`` counts the draws taken from
+substream ``s``.
 
-Indexed accessors (``proposal_time``, ``thinning_uniform``,
-``kernel_uniform``) memoise, so coupled consumers reading the same stream
+* ``proposal_time(k, rate)`` is the sum of the first ``k`` waiting times
+  ``-log1p(-u) / rate``, ``u`` running over the poisson uniforms in order
+  and skipping ``u = 0``; the rate is frozen at the stream's first draw.
+* ``thinning_uniform(k)`` is the ``k``-th thinning uniform.
+* ``kernel_slots(k)`` is the pair of kernel uniforms ``2k - 1`` (mode) and
+  ``2k`` (magnitude).  A rejected proposal leaves its pair unused, so two
+  consumers of one stream agree on every index even if their
+  accept/reject decisions differ.
+* ``wiener_block(n, h)`` is the next ``n`` wiener normals times
+  ``sqrt(h)``, one per grid cell in time order; blocks of consecutive
+  segments concatenate to one stream.  ``h = 0`` gives zeros and draws
+  nothing.
+
+The first three are memoised, so coupled consumers reading the same stream
 instance observe identical values at identical indices.
 """
 
@@ -50,22 +54,16 @@ _SUB_THINNING = 1
 _SUB_KERNEL = 2
 _SUB_WIENER = 3
 
-_UNIFORM_SUBSTREAMS = {"thinning": _SUB_THINNING, "kernel": _SUB_KERNEL}
-
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
-def _substream_key(seed: int, path_id: int, substream: int) -> np.ndarray:
-    return np.array([seed & _MASK64, ((path_id << 3) | substream) & _MASK64], dtype=np.uint64)
-
-
-def _fresh_state(seed: int, path_id: int, substream: int) -> dict:
-    # Equivalent to constructing Philox(key=...) but much cheaper, which
-    # matters when millions of short paths are simulated; equality with
-    # fresh construction is pinned by a test.
+def _state_template(substream: int) -> dict:
+    # ``reset`` writes a key into this and assigns it to the bit generator,
+    # which is much cheaper than constructing Philox(key=...) per path;
+    # equality with fresh construction is pinned by a test.
     return {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO4.copy(), "key": _substream_key(seed, path_id, substream)},
+        "state": {"counter": _ZERO4.copy(), "key": np.array([0, substream], dtype=np.uint64)},
         "buffer": _ZERO4.copy(),
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -74,29 +72,14 @@ def _fresh_state(seed: int, path_id: int, substream: int) -> dict:
 
 
 class DriverStream:
-    """Reproducible randomness for one simulated path.
+    """Reproducible randomness for one simulated path."""
 
-    A stream instance must not be drawn from by two threads at once;
-    parallelism is across paths, each owning its own stream.
-    """
-
-    __slots__ = (
-        "seed",
-        "path_id",
-        "_gens",
-        "_bitgens",
-        "_states",
-        "counters",
-        "_proposal_rate",
-        "_proposal_times",
-        "_thinning_cache",
-        "_kernel_cache",
-    )
+    __slots__ = ("_gens", "_bitgens", "_states", "counters", "_proposal_rate", "_proposal_times", "_memo")
 
     def __init__(self, seed: int, path_id: int = 0) -> None:
         self._bitgens = [np.random.Philox(key=[0, 0]) for _ in range(4)]
         self._gens = [np.random.Generator(bg) for bg in self._bitgens]
-        self._states = [_fresh_state(0, 0, sub) for sub in range(4)]
+        self._states = [_state_template(sub) for sub in range(4)]
         self.reset(seed, path_id)
 
     def reset(self, seed: int, path_id: int) -> None:
@@ -104,8 +87,6 @@ class DriverStream:
         (the state setter copies, so the templates can be reused)."""
         if not 0 <= path_id < _MAX_PATH:
             raise ValueError(f"path_id must lie in [0, 2**60), got {path_id!r}")
-        self.seed = int(seed)
-        self.path_id = int(path_id)
         key_hi = (path_id << 3) & _MASK64
         for sub, (bg, st) in enumerate(zip(self._bitgens, self._states)):
             inner = st["state"]
@@ -116,91 +97,53 @@ class DriverStream:
         self.counters = [0, 0, 0, 0]
         self._proposal_rate: float | None = None
         self._proposal_times: list[float] = []
-        self._thinning_cache: list[float] = []
-        self._kernel_cache: list[float] = []
-
-    # -- poisson proposals -------------------------------------------------
-
-    def next_proposal(self, rate_bound: float) -> float:
-        """Next exponential waiting time of the dominating Poisson process."""
-        if not rate_bound > 0.0:
-            raise ValueError(f"rate_bound must be positive, got {rate_bound!r}")
-        if self._proposal_rate is None:
-            self._proposal_rate = float(rate_bound)
-        elif rate_bound != self._proposal_rate:
-            raise ValueError(
-                f"stream already serves proposals at rate {self._proposal_rate!r}; got {rate_bound!r}"
-            )
-        gen = self._gens[_SUB_POISSON]
-        inc = 0.0
-        while inc == 0.0:  # u = 0 would stall the proposal clock
-            u = gen.random()
-            self.counters[_SUB_POISSON] += 1
-            inc = -math.log1p(-u) / rate_bound
-        prev = self._proposal_times[-1] if self._proposal_times else 0.0
-        self._proposal_times.append(prev + inc)
-        return inc
+        self._memo: list[list[float]] = [[], [], [], []]  # thinning and kernel only
 
     def proposal_time(self, k: int, rate_bound: float) -> float:
         """The k-th proposed jump time (1-based), memoised."""
         if k < 1:
             raise ValueError(f"proposal index must be >= 1, got {k!r}")
-        while len(self._proposal_times) < k:
-            self.next_proposal(rate_bound)
-        return self._proposal_times[k - 1]
+        times = self._proposal_times
+        if len(times) < k:
+            if not rate_bound > 0.0:
+                raise ValueError(f"rate_bound must be positive, got {rate_bound!r}")
+            if self._proposal_rate is None:
+                self._proposal_rate = float(rate_bound)
+            elif rate_bound != self._proposal_rate:
+                raise ValueError(
+                    f"stream already serves proposals at rate {self._proposal_rate!r}; got {rate_bound!r}"
+                )
+            gen = self._gens[_SUB_POISSON]
+            t = times[-1] if times else 0.0
+            while len(times) < k:
+                inc = -math.log1p(-gen.random()) / rate_bound
+                self.counters[_SUB_POISSON] += 1
+                if inc != 0.0:  # u = 0 would stall the proposal clock
+                    t += inc
+                    times.append(t)
+        return times[k - 1]
 
-    # -- uniforms -----------------------------------------------------------
-
-    def next_uniform(self, which: str) -> float:
-        """Sequential uniform on [0, 1) from the named substream."""
-        try:
-            sub = _UNIFORM_SUBSTREAMS[which]
-        except KeyError:
-            raise ValueError(f"unknown uniform substream {which!r}") from None
-        cache = self._thinning_cache if sub == _SUB_THINNING else self._kernel_cache
-        u = self._gens[sub].random()
-        self.counters[sub] += 1
-        cache.append(u)
-        return u
+    def _uniforms(self, sub: int, n: int) -> list[float]:
+        """The memoised uniforms of substream ``sub``, at least ``n`` long."""
+        cache = self._memo[sub]
+        gen = self._gens[sub]
+        while len(cache) < n:
+            cache.append(gen.random())
+            self.counters[sub] += 1
+        return cache
 
     def thinning_uniform(self, k: int) -> float:
         """The acceptance uniform for proposal k (1-based), memoised."""
         if k < 1:
             raise ValueError(f"proposal index must be >= 1, got {k!r}")
-        gen = self._gens[_SUB_THINNING]
-        cache = self._thinning_cache
-        while len(cache) < k:
-            cache.append(gen.random())
-            self.counters[_SUB_THINNING] += 1
-        return cache[k - 1]
+        return self._uniforms(_SUB_THINNING, k)[k - 1]
 
-    def kernel_uniform(self, index: int) -> float:
-        """The kernel uniform at flat slot ``index`` (0-based), memoised."""
-        if index < 0:
-            raise ValueError(f"kernel slot must be >= 0, got {index!r}")
-        gen = self._gens[_SUB_KERNEL]
-        cache = self._kernel_cache
-        while len(cache) <= index:
-            cache.append(gen.random())
-            self.counters[_SUB_KERNEL] += 1
-        return cache[index]
-
-    def kernel_slots(self, proposal_k: int) -> tuple[float, float]:
-        """(mode uniform, magnitude uniform) allocated to proposal k."""
-        base = 2 * (proposal_k - 1)
-        return self.kernel_uniform(base), self.kernel_uniform(base + 1)
-
-    # -- wiener -------------------------------------------------------------
-
-    def wiener_increment(self, h: float) -> float:
-        """Gaussian increment with mean 0 and variance h; h = 0 draws nothing."""
-        if h < 0.0:
-            raise ValueError(f"step must be nonnegative, got {h!r}")
-        if h == 0.0:
-            return 0.0
-        z = self._gens[_SUB_WIENER].standard_normal()
-        self.counters[_SUB_WIENER] += 1
-        return z * math.sqrt(h)
+    def kernel_slots(self, k: int) -> tuple[float, float]:
+        """(mode uniform, magnitude uniform) allocated to proposal k, memoised."""
+        if k < 1:
+            raise ValueError(f"proposal index must be >= 1, got {k!r}")
+        cache = self._uniforms(_SUB_KERNEL, 2 * k)
+        return cache[2 * k - 2], cache[2 * k - 1]
 
     def wiener_block(self, n: int, h: float) -> list[float]:
         """n increments for consecutive cells of width h, in grid order."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .core import PDifMPModel
 from .errors import SimulationDivergedError
@@ -83,8 +84,7 @@ def exact_gbm_flow(y0: float, mu: float, sigma: float, t: float, w_t: float) -> 
 class EulerMaruyama:
     """Generic drift/diffusion integrator; valid for any model."""
 
-    step_hint: float | None = None
-    kind: str = "euler_maruyama"
+    kind: ClassVar[str] = "euler_maruyama"
 
     def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
         return em_step(model, y, v, h, dw)
@@ -130,8 +130,7 @@ class ExactGBMFlow:
 
     mu: float
     sigma: float
-    step_hint: float | None = None
-    kind: str = "exact_gbm"
+    kind: ClassVar[str] = "exact_gbm"
 
     def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
         try:
@@ -205,8 +204,7 @@ class GliomaSplitting:
 
     params: object
     freeze_at_updated_x: bool = True
-    step_hint: float | None = None
-    kind: str = "glioma_splitting"
+    kind: ClassVar[str] = "glioma_splitting"
 
     def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
         p = self.params

@@ -147,7 +147,7 @@ def apply_jump(
 
 
 def _check_args(h, T, stride, t0: float = 0.0) -> None:
-    if h is None or not h > 0.0:
+    if not h > 0.0:
         raise ValueError(f"positive step size required, got {h!r}")
     if not T > t0:
         raise ValueError(f"horizon {T!r} must lie after the start time {t0!r}")
@@ -328,7 +328,7 @@ def next_jump(
     integrator,
     stream: DriverStream,
     state: HybridState,
-    h: float | None = None,
+    h: float,
     T: float | None = None,
     proposal_cap: int = DEFAULT_PROPOSAL_CAP,
 ) -> NextJumpResult:
@@ -341,7 +341,6 @@ def next_jump(
     in the returned grid samples.  The jump itself is not applied; pair
     with ``apply_jump``.
     """
-    h = h if h is not None else integrator.step_hint
     T = T if T is not None else model.horizon
     _check_args(h, T, 1, state.t)
     plan = _plan(model, stream, state.t, T, h, proposal_cap)
@@ -360,7 +359,7 @@ def simulate_path(
     model: PDifMPModel,
     integrator,
     stream: DriverStream,
-    h: float | None = None,
+    h: float,
     T: float | None = None,
     stride: int | None = 1,
     proposal_cap: int = DEFAULT_PROPOSAL_CAP,
@@ -372,7 +371,6 @@ def simulate_path(
     jump times, and the horizon); endpoints are always recorded so every
     jump time is a grid time.
     """
-    h = h if h is not None else integrator.step_hint
     T = T if T is not None else model.horizon
     _check_args(h, T, stride)
     plan = _plan(model, stream, 0.0, T, h, proposal_cap)
@@ -384,7 +382,7 @@ def simulate_coupled_pair(
     integrator_a,
     integrator_b,
     stream: DriverStream,
-    h: float | None = None,
+    h: float,
     T: float | None = None,
     stride: int | None = 1,
     proposal_cap: int = DEFAULT_PROPOSAL_CAP,
@@ -399,7 +397,6 @@ def simulate_coupled_pair(
     its integrator with the same stream.  A divergence error names the side
     (``a`` or ``b``) and its integrator's kind.
     """
-    h = h if h is not None else (integrator_a.step_hint or integrator_b.step_hint)
     T = T if T is not None else model.horizon
     _check_args(h, T, stride)
     plan = list(_plan(model, stream, 0.0, T, h, proposal_cap))
@@ -421,7 +418,7 @@ def simulate_batch(
     integrator,
     seed: int,
     n_paths: int,
-    h: float | None = None,
+    h: float,
     T: float | None = None,
     stride: int | None = 1,
     path_offset: int = 0,

@@ -61,6 +61,23 @@ def test_config_m_zero_exits_64(tmp_path):
     assert main(["run", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(experiment="weak_error", model={"id": "weak_test"}, max_paths=0),
+        dict(experiment="glioma_sweep", model={"id": "glioma"}, h_list=[0.01], trajectory_stride=0),
+        dict(paths=2.5),
+        dict(h_list=["a"]),
+        dict(seed="x"),
+    ],
+    ids=["max_paths", "trajectory_stride", "paths", "h_list", "seed"],
+)
+def test_malformed_numeric_config_exits_64(tmp_path, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert main(["validate", str(cfg)]) == EXIT_CONFIG
+
+
 def test_unparsable_config_exits_64(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -178,8 +195,10 @@ def test_shipped_configs_validate():
 
 
 def test_entry_point_exit_code_contract():
+    # run from the checkout's src, so no install is needed
     proc = subprocess.run(
-        [sys.executable, "-m", "pdifmp.cli", "list-models"], capture_output=True, text=True
+        [sys.executable, "-m", "pdifmp.cli", "list-models"],
+        capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1] / "src",
     )
     assert proc.returncode == 0
     assert "glioma" in proc.stdout

@@ -5,29 +5,55 @@ import pytest
 
 from pdifmp import DriverStream, fork_for_path
 
+MASK64 = (1 << 64) - 1
 
-def test_next_proposal_rejects_bad_rate():
+
+def philox(seed: int, path_id: int, substream: int) -> np.random.Generator:
+    # the documented keying: (seed, (path_id << 3) | substream)
+    key = np.array([seed & MASK64, (path_id << 3) | substream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def test_proposal_time_rejects_bad_rate():
     s = fork_for_path(1, 0)
+    for rate in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            s.proposal_time(1, rate)
+    assert s.counters == [0, 0, 0, 0]
     with pytest.raises(ValueError):
-        s.next_proposal(0.0)
-    with pytest.raises(ValueError):
-        s.next_proposal(-1.0)
+        s.proposal_time(0, 1.0)
 
 
-def test_next_proposal_rate_is_frozen_per_stream():
+def test_proposal_rate_is_frozen_per_stream():
     s = fork_for_path(1, 0)
-    s.next_proposal(2.0)
+    s.proposal_time(1, 2.0)
     with pytest.raises(ValueError):
-        s.next_proposal(3.0)
+        s.proposal_time(2, 3.0)
+    s.reset(1, 0)
+    s.proposal_time(1, 3.0)
+
+
+def test_proposal_time_skips_zero_uniform():
+    class Uniforms:
+        def __init__(self, values):
+            self.values = iter(values)
+
+        def random(self):
+            return next(self.values)
+
+    s = fork_for_path(1, 0)
+    s._gens[0] = Uniforms([0.0, 0.5, 0.0, 0.25])
+    assert s.proposal_time(1, 2.0) == -math.log1p(-0.5) / 2.0
+    assert s.proposal_time(2, 2.0) == -math.log1p(-0.5) / 2.0 - math.log1p(-0.25) / 2.0
+    assert s.counters[0] == 4
 
 
 def test_exponential_increment_mean():
-    # law of large numbers: mean of 1e5 exp(2) draws is 0.5 +- 3 se
+    # law of large numbers: mean of 1e5 exp(2) waiting times is 0.5 +- 3 se
     s = fork_for_path(42, 0)
     n = 100_000
-    total = sum(s.next_proposal(2.0) for _ in range(n))
     se = 0.5 / math.sqrt(n)
-    assert abs(total / n - 0.5) < 3 * se
+    assert abs(s.proposal_time(n, 2.0) / n - 0.5) < 3 * se
 
 
 def test_proposal_times_strictly_increase():
@@ -39,34 +65,56 @@ def test_proposal_times_strictly_increase():
 def test_replay_determinism():
     a = fork_for_path(9, 4)
     b = fork_for_path(9, 4)
-    seq_a = [a.next_proposal(1.5) for _ in range(50)]
-    seq_b = [b.next_proposal(1.5) for _ in range(50)]
-    assert seq_a == seq_b
-    assert a.wiener_block(10, 0.1) == b.wiener_block(10, 0.1)
-    assert [a.next_uniform("thinning") for _ in range(10)] == [
-        b.next_uniform("thinning") for _ in range(10)
+    assert [a.proposal_time(k, 1.5) for k in range(1, 51)] == [
+        b.proposal_time(k, 1.5) for k in range(1, 51)
     ]
+    assert a.wiener_block(10, 0.1) == b.wiener_block(10, 0.1)
+    assert [a.thinning_uniform(k) for k in range(1, 11)] == [b.thinning_uniform(k) for k in range(1, 11)]
+    assert [a.kernel_slots(k) for k in range(1, 6)] == [b.kernel_slots(k) for k in range(1, 6)]
+    assert a.counters == b.counters
 
 
 def test_reset_matches_fresh_construction():
     fresh = fork_for_path(77, 3)
     reused = fork_for_path(5, 0)
-    # consume in a scrambled order first, then re-key
-    reused.next_proposal(1.0)
+    # consume every substream first, then re-key
+    reused.proposal_time(3, 1.0)
     reused.wiener_block(7, 0.2)
-    reused.next_uniform("kernel")
+    reused.thinning_uniform(2)
+    reused.kernel_slots(1)
     reused.reset(77, 3)
-    assert fresh.next_proposal(2.5) == reused.next_proposal(2.5)
+    assert reused.counters == [0, 0, 0, 0]
+    assert fresh.proposal_time(4, 2.5) == reused.proposal_time(4, 2.5)
     assert fresh.wiener_block(5, 0.3) == reused.wiener_block(5, 0.3)
     assert fresh.thinning_uniform(4) == reused.thinning_uniform(4)
-    assert fresh.kernel_uniform(2) == reused.kernel_uniform(2)
+    assert fresh.kernel_slots(2) == reused.kernel_slots(2)
+    assert fresh.counters == reused.counters
 
 
-def test_wiener_increment_edge_cases():
+@pytest.mark.parametrize("seed, path_id", [(0, 0), (12345, 7), ((1 << 64) + 11, (1 << 60) - 1)])
+def test_accessors_match_numpy_philox(seed, path_id):
+    s = fork_for_path(seed, path_id)
+    rate = 1.5
+    u = philox(seed, path_id, 0).random(20)
+    assert [s.proposal_time(k, rate) for k in range(1, 21)] == list(
+        np.cumsum([-math.log1p(-x) / rate for x in u])
+    )
+    assert [s.thinning_uniform(k) for k in range(1, 11)] == list(philox(seed, path_id, 1).random(10))
+    kernel = philox(seed, path_id, 2).random(8)
+    assert [s.kernel_slots(k) for k in range(1, 5)] == [(kernel[2 * i], kernel[2 * i + 1]) for i in range(4)]
+    assert s.wiener_block(6, 0.25) == list(philox(seed, path_id, 3).standard_normal(6) * 0.5)
+    assert s.counters == [20, 10, 8, 6]
+
+
+def test_wiener_block_edge_cases():
     s = fork_for_path(2, 0)
-    assert s.wiener_increment(0.0) == 0.0
+    assert s.wiener_block(3, 0.0) == [0.0, 0.0, 0.0]
+    assert s.counters[3] == 0
+    assert s.wiener_block(2, 1.0) == fork_for_path(2, 0).wiener_block(2, 1.0)
     with pytest.raises(ValueError):
-        s.wiener_increment(-0.1)
+        s.wiener_block(1, -0.1)
+    with pytest.raises(ValueError):
+        s.wiener_block(0, 0.1)
 
 
 def test_wiener_variance():
@@ -80,25 +128,32 @@ def test_wiener_variance():
 
 
 def test_wiener_partition_additivity():
-    # summing increments over any partition of [0,1] gives a N(0,1) total;
-    # sample variance over many paths ~ 1 regardless of the partitions
+    # summing increments over any partition of [0,1], each segment split
+    # into its own number of equal cells, gives a N(0,1) total; sample
+    # variance over many paths ~ 1 regardless of the partitions
     rng = np.random.default_rng(0)
     totals = []
     for pid in range(2000):
         s = fork_for_path(123, pid)
         cuts = np.sort(rng.uniform(0.0, 1.0, size=rng.integers(1, 12)))
         widths = np.diff(np.concatenate(([0.0], cuts, [1.0])))
-        totals.append(sum(s.wiener_increment(float(w)) for w in widths))
+        total = 0.0
+        for w in widths:
+            n = int(rng.integers(1, 4))
+            total += sum(s.wiener_block(n, float(w) / n))
+        totals.append(total)
     var = np.var(totals)
     assert abs(var - 1.0) < 3 * math.sqrt(2.0 / len(totals))
 
 
 def test_wiener_block_equals_scalars():
+    # blocks of consecutive segments concatenate to one stream
     a = fork_for_path(6, 1)
     b = fork_for_path(6, 1)
+    c = fork_for_path(6, 1)
     block = a.wiener_block(16, 0.5)
-    singles = [b.wiener_increment(0.5) for _ in range(16)]
-    assert block == singles
+    assert block == [b.wiener_block(1, 0.5)[0] for _ in range(16)]
+    assert block == c.wiener_block(5, 0.5) + c.wiener_block(11, 0.5)
 
 
 def test_thinning_uniforms_pass_ks():
@@ -106,40 +161,51 @@ def test_thinning_uniforms_pass_ks():
 
     s = fork_for_path(101, 0)
     n = 10_000
-    samples = [s.next_uniform("thinning") for _ in range(n)]
+    samples = [s.thinning_uniform(k) for k in range(1, n + 1)]
     assert ks_statistic(samples, lambda x: min(max(x, 0.0), 1.0)) < 1.36 / math.sqrt(n)
 
 
 def test_substream_isolation():
-    # interleaving kernel draws must not perturb the thinning sequence
+    # interleaving draws from the other substreams must not perturb any one
     plain = fork_for_path(8, 2)
-    baseline = [plain.next_uniform("thinning") for _ in range(20)]
+    thinning = [plain.thinning_uniform(k) for k in range(1, 21)]
+    kernel = [plain.kernel_slots(k) for k in range(1, 21)]
+    proposals = [plain.proposal_time(k, 1.0) for k in range(1, 21)]
+    wiener = plain.wiener_block(20, 0.1)
     mixed = fork_for_path(8, 2)
-    got = []
-    for i in range(20):
-        mixed.next_uniform("kernel")
-        got.append(mixed.next_uniform("thinning"))
-        mixed.wiener_increment(0.1)
-        mixed.next_proposal(1.0)
-    assert got == baseline
+    got = ([], [], [], [])
+    for k in range(1, 21):
+        got[1].append(mixed.kernel_slots(k))
+        got[0].append(mixed.thinning_uniform(k))
+        got[3].extend(mixed.wiener_block(1, 0.1))
+        got[2].append(mixed.proposal_time(k, 1.0))
+    assert got == (thinning, kernel, proposals, wiener)
 
 
 def test_indexed_views_match_sequential():
+    # reading out of order draws up to the highest index once; re-reads are
+    # memoised and draw nothing more
     seq = fork_for_path(19, 7)
     idx = fork_for_path(19, 7)
-    sequential = [seq.next_uniform("thinning") for _ in range(10)]
-    indexed = [idx.thinning_uniform(k) for k in range(1, 11)]
-    assert sequential == indexed
-    # memoisation: re-reading an index gives the identical value
-    assert idx.thinning_uniform(3) == sequential[2]
+    sequential = [seq.thinning_uniform(k) for k in range(1, 11)]
+    slots = [seq.kernel_slots(k) for k in range(1, 6)]
+    times = [seq.proposal_time(k, 0.5) for k in range(1, 9)]
+    assert idx.thinning_uniform(10) == sequential[9]
+    assert idx.kernel_slots(5) == slots[4]
+    assert idx.proposal_time(8, 0.5) == times[7]
+    counts = list(idx.counters)
+    assert [idx.thinning_uniform(k) for k in (3, 1, 10)] == [sequential[2], sequential[0], sequential[9]]
+    assert [idx.kernel_slots(k) for k in (2, 5, 1)] == [slots[1], slots[4], slots[0]]
+    assert [idx.proposal_time(k, 0.5) for k in (4, 8)] == [times[3], times[7]]
+    assert idx.counters == counts == seq.counters[:3] + [0]
 
 
 def test_fork_is_pure_and_paths_differ():
     a1 = fork_for_path(55, 0)
     a2 = fork_for_path(55, 0)
     b = fork_for_path(55, 1)
-    assert a1.wiener_increment(1.0) == a2.wiener_increment(1.0)
-    assert fork_for_path(55, 0).wiener_increment(1.0) != b.wiener_increment(1.0)
+    assert a1.wiener_block(1, 1.0) == a2.wiener_block(1, 1.0)
+    assert fork_for_path(55, 0).wiener_block(1, 1.0) != b.wiener_block(1, 1.0)
 
 
 def test_cross_path_correlation_near_zero():
@@ -149,9 +215,9 @@ def test_cross_path_correlation_near_zero():
     stream = DriverStream(31, 0)
     for i in range(n):
         stream.reset(31, 2 * i)
-        xs[i] = stream.wiener_increment(1.0)
+        xs[i] = stream.wiener_block(1, 1.0)[0]
         stream.reset(31, 2 * i + 1)
-        ys[i] = stream.wiener_increment(1.0)
+        ys[i] = stream.wiener_block(1, 1.0)[0]
     r = np.corrcoef(xs, ys)[0, 1]
     assert abs(r) < 3.0 / math.sqrt(n)
 
@@ -164,9 +230,13 @@ def test_path_id_range_checked():
 
 
 def test_kernel_slots_layout():
+    # proposal k owns flat kernel uniforms 2k - 1 and 2k, whatever the
+    # order of the reads
+    flat = philox(12, 0, 2).random(6)
     s = fork_for_path(12, 0)
-    flat = [s.kernel_uniform(i) for i in range(6)]
-    s2 = fork_for_path(12, 0)
-    assert s2.kernel_slots(1) == (flat[0], flat[1])
-    assert s2.kernel_slots(3) == (flat[4], flat[5])
-    assert s2.kernel_slots(2) == (flat[2], flat[3])
+    assert s.kernel_slots(1) == (flat[0], flat[1])
+    assert s.kernel_slots(3) == (flat[4], flat[5])
+    assert s.kernel_slots(2) == (flat[2], flat[3])
+    assert s.counters[2] == 6
+    with pytest.raises(ValueError):
+        s.kernel_slots(0)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from pdifmp import (
+    DriverStream,
     EulerMaruyama,
     ExactGBMFlow,
     HybridState,
@@ -391,3 +393,43 @@ def test_first_jump_law_under_thinning_matches_scipy():
     ours = ks_statistic(samples, lambda t: 1.0 - math.exp(-0.5 * t))
     theirs = scipy_stats.kstest(samples, scipy_stats.expon(scale=2.0).cdf).statistic
     assert ours == pytest.approx(theirs, abs=1e-12)
+
+
+# -- properties -------------------------------------------------------------------
+
+
+def _trajectory_bytes(traj) -> tuple:
+    arrays = (traj.times, traj.values, traj.jump_times, traj.interval_modes, traj.post_jump_values)
+    return tuple(a.tobytes() for a in arrays) + (repr(traj.stats),)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    rate_bound=st.floats(min_value=0.1, max_value=8.0),
+    rate_share=st.floats(min_value=0.0, max_value=1.0),
+    h=st.floats(min_value=1e-3, max_value=0.5),
+    horizon=st.floats(min_value=0.05, max_value=3.0),
+    stride=st.sampled_from([1, 3, None]),
+    path_id=st.integers(min_value=0, max_value=1 << 40),
+)
+def test_engine_properties(rate_bound, rate_share, h, horizon, stride, path_id):
+    model = constant_rate_model(
+        rate=rate_share * rate_bound,
+        rate_bound=rate_bound,
+        drift=lambda y, v: ((0.3 if v == 0 else -0.2) * y[0],),
+        diffusion=lambda y, v: (0.4 * y[0],),
+        horizon=horizon,
+    )
+    em = EulerMaruyama()
+    traj = simulate_path(model, em, fork_for_path(17, path_id), h, stride=stride)
+    traj.validate(horizon)
+    assert traj.times[-1] == horizon
+    assert traj.jump_count == traj.stats.n_accepted <= traj.stats.n_proposals
+
+    a, b = simulate_coupled_pair(model, em, em, fork_for_path(17, path_id), h, stride=stride)
+    assert _trajectory_bytes(a) == _trajectory_bytes(b) == _trajectory_bytes(traj)
+
+    stream = DriverStream(3, 1)
+    simulate_path(model, em, stream, h, stride=stride)
+    stream.reset(17, path_id)
+    assert _trajectory_bytes(simulate_path(model, em, stream, h, stride=stride)) == _trajectory_bytes(traj)
