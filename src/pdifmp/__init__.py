@@ -36,9 +36,6 @@ from .models import (
     GliomaParams,
     build_model,
     list_model_ids,
-    make_example1,
-    make_example2,
-    make_gbm_jump,
     make_glioma,
 )
 from .analysis import (
@@ -78,9 +75,6 @@ __all__ = [
     "grow_weak_error_estimate",
     "ks_statistic",
     "list_model_ids",
-    "make_example1",
-    "make_example2",
-    "make_gbm_jump",
     "make_glioma",
     "next_jump",
     "phi1",

@@ -113,8 +113,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if len(self.slope_band) != 2 or len(self.ratio_band) != 2:
-            raise ConfigError("bands must be [lo, hi] pairs")
+        for name in ("slope_band", "ratio_band"):
+            band = getattr(self, name)
+            if not isinstance(band, (list, tuple)) or len(band) != 2 or not all(map(_is_real, band)):
+                raise ConfigError(f"{name} must be a [lo, hi] pair of numbers, got {band!r}")
+        for name in ("rel_se_target", "sup_ratio_max"):
+            value = getattr(self, name)
+            if not _is_real(value) or not value > 0.0:
+                raise ConfigError(f"{name} must be a positive number, got {value!r}")
 
     def model_kwargs(self) -> dict:
         kw = dict(self.model)

@@ -95,7 +95,7 @@ class PDifMPModel:
     ``drift`` and ``diffusion`` map ``(y, v_index)`` to per-component
     tuples; diffusion is the column for the single Wiener channel.  All
     callables must be pure (same inputs give same outputs) so paths can be
-    replayed and shared across threads.
+    replayed.
     """
 
     modes: ModeSet
@@ -112,10 +112,10 @@ class PDifMPModel:
     # that rescale y at jumps install a hook here.
     jump_update: Callable[[tuple, int, float], tuple] | None = None
     # Optional per-component (lo, hi) bounds, diagnostic only: the engine
-    # counts excursions but never clips unless `constrain` is set.
+    # counts excursions in PathStats.hint_excursions and never clips.  The
+    # migration model's x leaves its [-1, 1] hint: its drift z x (z/2 + a - b)
+    # grows |x| whenever z (z/2 + a - b) > 0, as in every shipped config.
     state_space_hint: tuple | None = None
-    # Optional projection applied after every integrator step.
-    constrain: Callable[[tuple], tuple] | None = None
     # "error" raises when rate > rate_bound; "count" records the violation
     # and carries on (used to reproduce published configurations whose
     # stated bound is inconsistent with the rate function).

@@ -196,14 +196,11 @@ class GliomaSplitting:
 
     One cell composes, in order, the position subflows (constant-coefficient
     ballistic/decay ODE, then the exact multiplicative noise factor
-    ``exp(z dW)``) and the receptor relaxation with the position frozen.
-    ``freeze_at_updated_x`` selects whether the relaxation coefficients see
-    the updated position (composition order) or the cell's starting
-    position (for sensitivity checks).  The mode is untouched.
+    ``exp(z dW)``) and the receptor relaxation with the position frozen at
+    its updated value.  The mode is untouched.
     """
 
     params: object
-    freeze_at_updated_x: bool = True
     kind: ClassVar[str] = "glioma_splitting"
 
     def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
@@ -220,8 +217,7 @@ class GliomaSplitting:
             )
             x_new = math.exp(z * dw) * (math.exp(xi) * x + phi * h * vel)
 
-            x_for_z = x_new if self.freeze_at_updated_x else x
-            e = math.exp(-x_for_z)
+            e = math.exp(-x_new)
             conc = 1.0 / (1.0 + e)
             kappa = kp * conc + km
             eta = -h * kappa

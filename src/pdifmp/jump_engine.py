@@ -203,7 +203,6 @@ def _run_side(
     strict = model.bound_policy == "error"
     kernel = model.kernel
     jump_update = model.jump_update
-    constrain = model.constrain
     hint = model.state_space_hint
     # at stride 1 every post-step state is recorded, so excursions are
     # counted vectorised afterwards instead of per cell
@@ -212,7 +211,7 @@ def _run_side(
     # Segments whose interior is neither recorded nor inspected can run in
     # one call; run_cells implementations perform cell-identical arithmetic.
     run_cells = None
-    if stride is None and constrain is None and hint is None:
+    if stride is None and hint is None:
         run_cells = getattr(integrator, "run_cells", None)
 
     chunks: list[np.ndarray] = []
@@ -239,16 +238,12 @@ def _run_side(
                 elif stride == 1:
                     for dw in dws:
                         y = step(model, y, v, h_loc, dw)
-                        if constrain is not None:
-                            y = constrain(y)
                         v_ap(y)
                 else:
                     marks = iter(_recorded_cells(grid.n_cells, n_cells, stride))
                     mark = next(marks)
                     for cell, dw in enumerate(dws, 1):
                         y = step(model, y, v, h_loc, dw)
-                        if constrain is not None:
-                            y = constrain(y)
                         if exc is not None:
                             for j, (lo, hi) in enumerate(hint):
                                 c = y[j]

@@ -2,10 +2,12 @@
 
 Three families are provided: geometric Brownian motion with constant-rate
 jumps and exponential multiplicative magnitudes ("example1"), geometric
-Brownian motion with a state-proportional jump rate and a fixed 0.9 rescale
-at jumps ("example2", plus a constant-rate variant "weak_test" used for
+Brownian motion with a state-proportional jump rate and a 0.9 rescale at
+jumps ("example2", plus a constant-rate variant "weak_test" used for
 weak-error studies), and a two-component microscale cell-migration system
 whose velocity mode flips through a fiber-distribution kernel ("glioma").
+Each builder states its model's rate, jump transform and parameters, and
+accepts exactly the parameters its model reads.
 
 The jump-counter mode of the GBM family is capped: the mode set must stay
 finite, expected jump counts in the studied configurations are far below
@@ -29,70 +31,59 @@ from .flows import (
 )
 
 
+@dataclass
+class BuiltModel:
+    """A catalog entry: the model plus the integrators that fit it."""
+
+    model: PDifMPModel
+    em: EulerMaruyama
+    exact: ExactGBMFlow | None = None
+    splitting: GliomaSplitting | None = None
+    params: object | None = None
+
+
 # -- GBM with jumps ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class GbmJumpParams:
-    """Geometric Brownian motion with mode-counting jumps.
-
-    ``rate_kind`` is "constant" (rate_value is the jump rate, which also
-    serves as the dominating bound) or "linear" (rate is rate_value * y;
-    unbounded in general, so a dominating bound must come from
-    ``rate_bound`` or ``y_max``).  ``jump_kind`` selects the jump transform
-    of the continuous state: "exp_magnitude" multiplies y by e^eta with
-    eta exponential of rate ``magnitude_rate``, "scale" multiplies by
-    ``jump_scale``, "none" leaves y untouched.
-    """
+    """Resolved parameters of a GBM-with-jumps catalog model.  A field the
+    model does not read is None: ``magnitude_rate`` is example1's, ``y_max``
+    example2's, ``jump_scale`` example2's and weak_test's."""
 
     mu: float
     sigma: float
     y0: float
-    rate_kind: str = "constant"
-    rate_value: float = 0.0001
-    rate_bound: float | None = None
-    jump_kind: str = "exp_magnitude"
-    jump_scale: float = 0.9
+    rate_value: float
+    rate_bound: float
+    counter_capacity: int
+    horizon: float
+    as_published: bool
     magnitude_rate: float | None = None
-    counter_capacity: int = 64
-    horizon: float = 1.0
+    jump_scale: float | None = None
     y_max: float | None = None
-    as_published: bool = False
 
     def __post_init__(self) -> None:
         if self.sigma < 0.0:
             raise ConfigError(f"sigma must be nonnegative, got {self.sigma!r}")
         if not self.y0 > 0.0:
             raise ConfigError(f"y0 must be positive, got {self.y0!r}")
-        if self.rate_kind not in ("constant", "linear"):
-            raise ConfigError(f"unknown rate_kind {self.rate_kind!r}")
-        if self.jump_kind not in ("exp_magnitude", "scale", "none"):
-            raise ConfigError(f"unknown jump_kind {self.jump_kind!r}")
         if self.rate_value < 0.0:
             raise ConfigError(f"rate_value must be nonnegative, got {self.rate_value!r}")
-        if self.rate_kind == "linear" and not self.rate_value > 0.0:
-            raise ConfigError("linear rate needs a positive slope")
+        if not self.rate_bound > 0.0:
+            raise ConfigError(f"dominating rate bound must be positive, got {self.rate_bound!r}")
+        if self.magnitude_rate is not None and not self.magnitude_rate > 0.0:
+            raise ConfigError(f"magnitude_rate must be positive, got {self.magnitude_rate!r}")
         if self.counter_capacity < 1:
             raise ConfigError(f"counter_capacity must be >= 1, got {self.counter_capacity!r}")
         if not self.horizon > 0.0:
             raise ConfigError(f"horizon must be positive, got {self.horizon!r}")
 
 
-def _counter_weights(capacity: int) -> Callable[[tuple, int], list[float]]:
-    # Mandatory increment: all kernel mass sits on the next counter value.
-    def weights(y: tuple, v: int) -> list[float]:
-        if v >= capacity:
-            raise CounterOverflowError(
-                f"jump counter reached capacity {capacity}; raise counter_capacity"
-            )
-        return [0.0] * (v + 2) + [1.0] * (capacity - v)
-
-    return weights
-
-
-def make_gbm_jump(params: GbmJumpParams) -> tuple[PDifMPModel, ExactGBMFlow]:
-    """Generic GBM-with-jumps builder; returns the model and its exact flow."""
-    mu, sigma, y0 = params.mu, params.sigma, params.y0
+def _gbm_jump(name: str, params: GbmJumpParams, rate, jump_update) -> BuiltModel:
+    """The GBM drift, diffusion and jump counter around a model's own rate
+    and jump transform, with the Euler-Maruyama and exact flows."""
+    mu, sigma = params.mu, params.sigma
 
     def drift(y: tuple, v: int) -> tuple:
         return (mu * y[0],)
@@ -100,89 +91,106 @@ def make_gbm_jump(params: GbmJumpParams) -> tuple[PDifMPModel, ExactGBMFlow]:
     def diffusion(y: tuple, v: int) -> tuple:
         return (sigma * y[0],)
 
-    if params.rate_kind == "constant":
-        lam = params.rate_value
-
-        def rate(y: tuple, v: int) -> float:
-            return lam
-
-        bound = params.rate_bound
-        if bound is None:
-            bound = lam if lam > 0.0 else 1.0
-    else:
-        slope = params.rate_value
-
-        def rate(y: tuple, v: int) -> float:
-            return slope * y[0]
-
-        bound = params.rate_bound
-        if bound is None:
-            y_max = params.y_max if params.y_max is not None else 4.0 * y0
-            bound = slope * y_max
-
-    if not bound > 0.0:
-        raise ConfigError(f"dominating rate bound must be positive, got {bound!r}")
-
-    if params.jump_kind == "exp_magnitude":
-        mag_rate = params.magnitude_rate
-        if mag_rate is None:
-            mag_rate = params.rate_value if params.rate_value > 0.0 else 1.0
-        if not mag_rate > 0.0:
-            raise ConfigError(f"magnitude_rate must be positive, got {mag_rate!r}")
-
-        def jump_update(y: tuple, v_new: int, u: float) -> tuple:
-            return (y[0] * math.exp(-math.log1p(-u) / mag_rate),)
-
-    elif params.jump_kind == "scale":
-        scale = params.jump_scale
-
-        def jump_update(y: tuple, v_new: int, u: float) -> tuple:
-            return (y[0] * scale,)
-
-    else:
-        jump_update = None
-
     capacity = params.counter_capacity
+
+    def counter_weights(y: tuple, v: int) -> list[float]:
+        # Mandatory increment: all kernel mass sits on the next counter value.
+        if v >= capacity:
+            raise CounterOverflowError(f"jump counter reached capacity {capacity}; raise counter_capacity")
+        return [0.0] * (v + 2) + [1.0] * (capacity - v)
+
     model = PDifMPModel(
         modes=ModeSet(tuple(range(capacity + 1))),
         drift=drift,
         diffusion=diffusion,
         rate=rate,
-        rate_bound=bound,
-        kernel=CumulativeKernel(_counter_weights(capacity)),
+        rate_bound=params.rate_bound,
+        kernel=CumulativeKernel(counter_weights),
         horizon=params.horizon,
-        initial_state=HybridState((y0,), 0, 0.0),
+        initial_state=HybridState((params.y0,), 0, 0.0),
         jump_update=jump_update,
         bound_policy="count" if params.as_published else "error",
-        name="gbm_jump",
+        name=name,
     )
-    return model, ExactGBMFlow(mu, sigma)
+    return BuiltModel(
+        model=model, em=GbmEulerMaruyama(mu=mu, sigma=sigma), exact=ExactGBMFlow(mu, sigma), params=params
+    )
 
 
-def make_example1(params: GbmJumpParams) -> tuple[PDifMPModel, ExactGBMFlow]:
-    """Constant-rate jumps with exponential multiplicative magnitudes."""
-    if params.rate_kind != "constant" or params.jump_kind != "exp_magnitude":
-        raise ConfigError("example1 requires rate_kind='constant' and jump_kind='exp_magnitude'")
-    model, flow = make_gbm_jump(params)
-    object.__setattr__(model, "name", "example1")
-    return model, flow
+def _build_example1(
+    mu=0.001, sigma=0.002, y0=50.0, rate_value=0.0001, rate_bound=None, magnitude_rate=None,
+    counter_capacity=64, horizon=1.0, as_published=False,
+) -> BuiltModel:
+    """Constant jump rate ``rate_value`` (also the default bound); a jump
+    multiplies y by e^eta with eta exponential of rate ``magnitude_rate``
+    (default: the jump rate)."""
+    fallback = rate_value if rate_value > 0.0 else 1.0
+    params = GbmJumpParams(
+        mu, sigma, y0, rate_value, fallback if rate_bound is None else rate_bound, counter_capacity,
+        horizon, as_published, magnitude_rate=fallback if magnitude_rate is None else magnitude_rate,
+    )
+    lam, mag_rate = params.rate_value, params.magnitude_rate
+
+    def rate(y: tuple, v: int) -> float:
+        return lam
+
+    def jump_update(y: tuple, v_new: int, u: float) -> tuple:
+        return (y[0] * math.exp(-math.log1p(-u) / mag_rate),)
+
+    return _gbm_jump("example1", params, rate, jump_update)
 
 
-def make_example2(params: GbmJumpParams) -> tuple[PDifMPModel, ExactGBMFlow]:
-    """State-proportional jump rate with a fixed 0.9 rescale at jumps.
+def _build_example2(
+    mu=0.01, sigma=0.2, y0=50.0, rate_value=0.01, rate_bound=None, y_max=None, jump_scale=0.9,
+    counter_capacity=64, horizon=1.0, as_published=False,
+) -> BuiltModel:
+    """State-proportional jump rate ``rate_value * y`` with a rescale by
+    ``jump_scale`` at jumps.
 
-    The linear rate is unbounded on an unbounded domain, so the dominating
-    bound is taken from ``rate_bound``/``y_max`` and checked at runtime;
-    with ``as_published`` the published bound of 0.001 is kept verbatim and
-    violations are counted instead of raised (the published configuration
-    has rate(y0) = 0.5 above its own bound, which makes every proposal an
-    accepted jump).
+    The linear rate is unbounded, so the dominating bound is ``rate_bound``,
+    else ``rate_value * y_max`` (y_max defaults to 4 y0), checked at
+    runtime.  ``as_published`` keeps the published bound 0.001 and counts
+    violations instead of raising (rate(y0) = 0.5 lies above that bound, so
+    every proposal is an accepted jump).
     """
-    if params.rate_kind != "linear" or params.jump_kind != "scale":
-        raise ConfigError("example2 requires rate_kind='linear' and jump_kind='scale'")
-    model, flow = make_gbm_jump(params)
-    object.__setattr__(model, "name", "example2")
-    return model, flow
+    if not rate_value > 0.0:
+        raise ConfigError("linear rate needs a positive slope")
+    y_max = 4.0 * y0 if y_max is None else y_max
+    rate_bound = (0.001 if as_published else rate_value * y_max) if rate_bound is None else rate_bound
+    params = GbmJumpParams(
+        mu, sigma, y0, rate_value, rate_bound, counter_capacity, horizon, as_published,
+        jump_scale=jump_scale, y_max=y_max,
+    )
+    slope, scale = params.rate_value, params.jump_scale
+
+    def rate(y: tuple, v: int) -> float:
+        return slope * y[0]
+
+    def jump_update(y: tuple, v_new: int, u: float) -> tuple:
+        return (y[0] * scale,)
+
+    return _gbm_jump("example2", params, rate, jump_update)
+
+
+def _build_weak_test(
+    mu=0.05, sigma=0.2, y0=1.0, rate_value=1.0, rate_bound=1.0, jump_scale=0.9,
+    counter_capacity=16, horizon=1.0, as_published=False,
+) -> BuiltModel:
+    """Constant jump rate ``rate_value`` with a rescale by ``jump_scale`` at
+    jumps, for weak-error studies.  Capacity 16 is ample for a unit-rate
+    counter over a unit horizon (overflow would still raise, observably)."""
+    params = GbmJumpParams(
+        mu, sigma, y0, rate_value, rate_bound, counter_capacity, horizon, as_published, jump_scale=jump_scale
+    )
+    lam, scale = params.rate_value, params.jump_scale
+
+    def rate(y: tuple, v: int) -> float:
+        return lam
+
+    def jump_update(y: tuple, v_new: int, u: float) -> tuple:
+        return (y[0] * scale,)
+
+    return _gbm_jump("weak_test", params, rate, jump_update)
 
 
 # -- microscale cell migration ------------------------------------------------
@@ -227,15 +235,9 @@ class GliomaParams:
     a: float = 0.5
     b: float = 0.2
     lambda_star: float | None = None
-    diffusivity: Callable[[float], float] | None = None
     x0: float = 0.0
     z0: float = 0.5
     initial_velocity_sign: int = 1
-    clamp_state: bool = False
-    # sensitivity switch for the splitting scheme: evaluate the receptor
-    # relaxation coefficients at the cell's starting position instead of the
-    # position already advanced within the step
-    relax_at_step_start: bool = False
     horizon: float = 360.0
 
     def __post_init__(self) -> None:
@@ -270,20 +272,23 @@ def make_glioma(params: GliomaParams) -> PDifMPModel:
     """Build the microscale migration model.
 
     Continuous state (position x, bound-receptor fraction z); velocity mode
-    in {-alpha, +alpha}.  The turning rate evaluates z clipped to [0, 1]:
-    the model is defined on that band and small numerical excursions must
-    not break the dominating bound (excursions are counted separately via
-    the state-space hint).  The mode kernel weights each candidate velocity
-    by fiber density over speed cubed, zeroes the current mode and
-    renormalises; with scalar diffusivity and two symmetric speeds this is
+    in {-alpha, +alpha}.  The turning rate evaluates z clipped to [0, 1]
+    so small numerical excursions of z cannot break the dominating bound.
+    The fiber-density kernel weights each other velocity by density over
+    speed cubed; with a uniform density and the two symmetric speeds it is
     a deterministic velocity flip.
+
+    The state is never clipped.  The x-drift ``z x (z/2 + a - b)`` grows
+    |x| whenever ``z (z/2 + a - b) > 0``, which holds for every shipped
+    configuration (a > b), so x leaves [-1, 1].  The state-space hint
+    ((-1, 1), (0, 1)) is diagnostic only: the engine counts excursions per
+    component in ``PathStats.hint_excursions``.
     """
     kp, km = params.k_plus, params.k_minus
     a, b = params.a, params.b
     lam0, lam1 = params.lambda0, params.lambda1
     modes = ModeSet((-params.alpha, params.alpha))
     mode_values = modes.values
-    diffusivity = params.diffusivity
 
     def drift(y: tuple, v: int) -> tuple:
         x, z = y
@@ -299,32 +304,10 @@ def make_glioma(params: GliomaParams) -> PDifMPModel:
         return (y[1] * y[0], 0.0)
 
     def rate(y: tuple, v: int) -> float:
-        z = y[1]
-        if z < 0.0:
-            z = 0.0
-        elif z > 1.0:
-            z = 1.0
-        return lam0 - lam1 * z
+        return lam0 - lam1 * min(max(y[1], 0.0), 1.0)
 
-    def kernel_weights(y: tuple, v: int) -> list[float]:
-        d = diffusivity(y[0]) if diffusivity is not None else 1.0
-        raw = [d / abs(m) ** 3 for m in mode_values]
-        raw[v] = 0.0
-        total = sum(raw)
-        out = [0.0]
-        acc = 0.0
-        for r in raw:
-            acc += r
-            out.append(acc / total)
-        out[-1] = 1.0
-        return out
-
-    constrain = None
-    if params.clamp_state:
-
-        def constrain(y: tuple) -> tuple:
-            x, z = y
-            return (min(max(x, -1.0), 1.0), min(max(z, 0.0), 1.0))
+    def flip_weights(y: tuple, v: int) -> list[float]:
+        return [0.0, 0.0, 1.0] if v == 0 else [0.0, 1.0, 1.0]
 
     v0 = modes.index(params.initial_velocity_sign * params.alpha)
     return PDifMPModel(
@@ -333,80 +316,22 @@ def make_glioma(params: GliomaParams) -> PDifMPModel:
         diffusion=diffusion,
         rate=rate,
         rate_bound=params.resolved_lambda_star,
-        kernel=CumulativeKernel(kernel_weights),
+        kernel=CumulativeKernel(flip_weights),
         horizon=params.horizon,
         initial_state=HybridState((params.x0, params.z0), v0, 0.0),
         state_space_hint=((-1.0, 1.0), (0.0, 1.0)),
-        constrain=constrain,
         name="glioma",
     )
-
-
-# -- catalog -------------------------------------------------------------------
-
-
-@dataclass
-class BuiltModel:
-    """A catalog entry: the model plus the integrators that fit it."""
-
-    model: PDifMPModel
-    em: EulerMaruyama
-    exact: ExactGBMFlow | None = None
-    splitting: GliomaSplitting | None = None
-    params: object | None = None
-
-
-def _build_example1(**cfg) -> BuiltModel:
-    defaults = dict(mu=0.001, sigma=0.002, y0=50.0, rate_value=0.0001, horizon=1.0)
-    defaults.update(cfg)
-    params = GbmJumpParams(rate_kind="constant", jump_kind="exp_magnitude", **defaults)
-    model, exact = make_example1(params)
-    em = GbmEulerMaruyama(mu=params.mu, sigma=params.sigma)
-    return BuiltModel(model=model, em=em, exact=exact, params=params)
-
-
-def _build_example2(**cfg) -> BuiltModel:
-    defaults = dict(mu=0.01, sigma=0.2, y0=50.0, rate_value=0.01, horizon=1.0)
-    defaults.update(cfg)
-    if defaults.get("as_published") and "rate_bound" not in defaults:
-        defaults["rate_bound"] = 0.001
-    params = GbmJumpParams(rate_kind="linear", jump_kind="scale", **defaults)
-    model, exact = make_example2(params)
-    em = GbmEulerMaruyama(mu=params.mu, sigma=params.sigma)
-    return BuiltModel(model=model, em=em, exact=exact, params=params)
-
-
-def _build_weak_test(**cfg) -> BuiltModel:
-    # Capacity 16 is ample for a unit-rate counter over a unit horizon
-    # (overflow would still raise, observably).
-    defaults = dict(
-        mu=0.05, sigma=0.2, y0=1.0, rate_value=1.0, rate_bound=1.0, jump_scale=0.9,
-        horizon=1.0, counter_capacity=16,
-    )
-    defaults.update(cfg)
-    params = GbmJumpParams(rate_kind="constant", jump_kind="scale", **defaults)
-    model, exact = make_gbm_jump(params)
-    object.__setattr__(model, "name", "weak_test")
-    em = GbmEulerMaruyama(mu=params.mu, sigma=params.sigma)
-    return BuiltModel(model=model, em=em, exact=exact, params=params)
 
 
 def _build_glioma(**cfg) -> BuiltModel:
     params = GliomaParams(**cfg)
     model = make_glioma(params)
-    em = GliomaEulerMaruyama(
-        k_plus=params.k_plus,
-        k_minus=params.k_minus,
-        a=params.a,
-        b=params.b,
-        mode_values=model.modes.values,
-    )
-    return BuiltModel(
-        model=model,
-        em=em,
-        splitting=GliomaSplitting(params, freeze_at_updated_x=not params.relax_at_step_start),
-        params=params,
-    )
+    em = GliomaEulerMaruyama(params.k_plus, params.k_minus, params.a, params.b, model.modes.values)
+    return BuiltModel(model=model, em=em, splitting=GliomaSplitting(params), params=params)
+
+
+# -- catalog -------------------------------------------------------------------
 
 
 _CATALOG: dict[str, Callable[..., BuiltModel]] = {
@@ -422,7 +347,11 @@ def list_model_ids() -> list[str]:
 
 
 def build_model(model_id: str, **cfg) -> BuiltModel:
-    """Instantiate a catalog model by string id with config overrides."""
+    """Instantiate a catalog model by string id with config overrides.
+
+    Each model accepts exactly the parameters it reads; any other key
+    raises ``ConfigError``.
+    """
     try:
         builder = _CATALOG[model_id]
     except KeyError:

@@ -9,6 +9,7 @@ import statistics
 
 import mpmath
 import numpy as np
+import pytest
 
 from pdifmp import (
     EulerMaruyama,
@@ -55,6 +56,7 @@ def _strong_slope(built, h_exponents, paths):
     return slope, rows
 
 
+@pytest.mark.slow
 def test_criterion_1_strong_order_constant_rate_model():
     # y0=50, mu=0.001, sigma=0.002, rate 1e-4, T=1; M=200, h = 2^-6..2^-12
     built = build_model("example1")
@@ -121,6 +123,7 @@ def test_criterion_4_coupling_identity():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_weak_order():
     built = build_model("weak_test")
 
@@ -146,6 +149,7 @@ def test_criterion_5_weak_order():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_em_vs_splitting():
     built = build_model("glioma", lambda0=0.7, lambda1=0.08, a=0.5, b=0.2, horizon=60.0)
     medians = []
@@ -234,6 +238,7 @@ def test_criterion_7_invariant_suite():
     announce("criterion 7: invariant suite", True, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_8_glioma_sweep_smoke():
     ok = True
     lines = []

@@ -250,6 +250,7 @@ def test_weak_error_requires_a_pilot_path():
         grow_weak_error_estimate(built.model, built.exact, F_first, h=0.1, seed=1, pilot=0, max_paths=10)
 
 
+@pytest.mark.slow
 def test_weak_error_jump_free_bias_halves_with_h():
     # without jumps the paired estimator targets E[euler_T] - y0 e^{mu T},
     # which vanishes at first order in h
@@ -263,6 +264,7 @@ def test_weak_error_jump_free_bias_halves_with_h():
     assert 1.3 < e1 / e2 < 3.0
 
 
+@pytest.mark.slow
 def test_weak_error_first_order_scaling_smoke():
     # coarse check at modest path counts: halving h roughly halves the bias
     built = build_model("weak_test")

@@ -69,8 +69,16 @@ def test_config_m_zero_exits_64(tmp_path):
         dict(paths=2.5),
         dict(h_list=["a"]),
         dict(seed="x"),
+        dict(slope_band=["a", 1]),
+        dict(experiment="weak_error", model={"id": "weak_test"}, ratio_band=[1.4, None]),
+        dict(experiment="weak_error", model={"id": "weak_test"}, rel_se_target="x"),
+        dict(experiment="tem_vs_tsm", model={"id": "glioma"}, h_list=[0.01], sup_ratio_max="x"),
+        dict(experiment="tem_vs_tsm", model={"id": "glioma"}, h_list=[0.01], sup_ratio_max=[0.2]),
     ],
-    ids=["max_paths", "trajectory_stride", "paths", "h_list", "seed"],
+    ids=[
+        "max_paths", "trajectory_stride", "paths", "h_list", "seed", "slope_band", "ratio_band",
+        "rel_se_target", "sup_ratio_max", "sup_ratio_max_list",
+    ],
 )
 def test_malformed_numeric_config_exits_64(tmp_path, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -102,6 +110,12 @@ def test_validate_ok(tmp_path, capsys):
 
 def test_validate_bad_model_params(tmp_path):
     cfg = write_config(tmp_path, model={"id": "glioma", "lambda0": 0.2, "lambda1": 0.9})
+    assert main(["validate", str(cfg)]) == EXIT_CONFIG
+
+
+def test_validate_rejects_parameter_the_model_does_not_read(tmp_path):
+    # jump_scale belongs to example2 and weak_test, not to example1
+    cfg = write_config(tmp_path, model={"id": "example1", "jump_scale": 0.5})
     assert main(["validate", str(cfg)]) == EXIT_CONFIG
 
 

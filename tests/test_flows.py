@@ -169,11 +169,11 @@ def test_phi1_positive_and_increasing_nearby(xi):
 TABLE_PARAMS = GliomaParams(k_plus=0.01, k_minus=0.01, a=0.5, b=0.2, lambda0=0.7, lambda1=0.08)
 
 
-def splitting_step(state, params, h, dw, velocity, freeze_at_updated_x=True):
+def splitting_step(state, params, h, dw, velocity):
     # one splitting cell at a given velocity: the integrator reads the
     # velocity from the model's mode set
     model = replace(constant_rate_model(rate=0.0, rate_bound=1.0), modes=ModeSet((velocity,)))
-    return GliomaSplitting(params, freeze_at_updated_x).step(model, state, 0, h, dw)
+    return GliomaSplitting(params).step(model, state, 0, h, dw)
 
 
 def test_splitting_step_identity_when_quiet():
@@ -195,14 +195,6 @@ def test_splitting_step_frozen_composition():
     out = splitting_step((0.0, 0.5), TABLE_PARAMS, 1e-4, 0.0, 0.00021)
     assert out[0] == pytest.approx(2.1000157500787503e-08, rel=1e-13)
     assert out[1] == pytest.approx(0.49999925233389144, rel=1e-13)
-
-
-def test_splitting_step_freeze_choice_changes_relaxation_input():
-    out_post = splitting_step((0.0, 0.5), TABLE_PARAMS, 1e-4, 0.0, 0.00021, True)
-    out_pre = splitting_step((0.0, 0.5), TABLE_PARAMS, 1e-4, 0.0, 0.00021, False)
-    assert out_post[0] == out_pre[0]
-    assert out_post[1] != out_pre[1]
-    assert out_pre[1] == pytest.approx(0.49999925233389408, rel=1e-13)
 
 
 def test_specialised_integrators_match_generic_bitwise():

@@ -35,9 +35,7 @@ CASES = {
     "example2": ("example2", dict(as_published=True, sigma=0.05), 0.5, 2000.0, "exact"),
     "weak_test": ("weak_test", {}, 2.0**-5, 1.0, "exact"),
     # started near the edge of the position hint, so excursions are counted
-    # and the clamped variant's projection acts
     "glioma": ("glioma", GLIOMA, 1e-2, 3.0, "splitting"),
-    "glioma_clamped": ("glioma", dict(GLIOMA, clamp_state=True), 1e-2, 3.0, "splitting"),
 }
 
 GOLDEN = {
@@ -59,12 +57,6 @@ GOLDEN = {
     'glioma/coupled/1': 'c3318a983f38ba6ae16cb2e4d420ade8fef7f8ba56832e15d7a068aea650ef47',
     'glioma/coupled/7': '198bc89ef9879d27c69ad30b3260e5434f1cec1871538db48ed2bb51981f7f76',
     'glioma/coupled/None': '2f76f9784b20a49f03112c60ade2ead3ab1e7f28e223aa7fc4ce74dc500f9e20',
-    'glioma_clamped/single/1': '06f37487ce13c0feeb42d94fc3a7898be9d4f6fe8eb1cb0c6ecfa26f45fda572',
-    'glioma_clamped/single/7': '841747b023dbe950fdaab70b25195a810fc261cfa9b778b7907b2db5a474eb86',
-    'glioma_clamped/single/None': '7c0e429ee7331e97e01bb647bc68fa881daa0f07e0de1feac345034d04922e91',
-    'glioma_clamped/coupled/1': 'ca911b891d8b8f341b28c06ae0a98e39e828f78ea755a48be7ee48fff9aaf941',
-    'glioma_clamped/coupled/7': 'dcf235592bbd9febed74021ed71a88440a2e943063027f1d959812b356e16f7a',
-    'glioma_clamped/coupled/None': 'fe8cba6ca74f627a2c4242aa1d20269eb14e883a83c7dabe51e52038a8eebd92',
     'weak_test/single/1': '17fb11ae8e0c7fc7e26b9217fbfdb327cd8a8eb0d2e66cb21572b9eb685f2433',
     'weak_test/single/7': '5656d6334dea8748af6bc2aaf0e6a81d28c9d348a938362121512e862374bb37',
     'weak_test/single/None': 'ef083c352606a2d81d868fdffec1974225119d8af157f445d7f97b152836eb14',

@@ -209,6 +209,7 @@ def test_zero_rate_exact_flow_reproduces_exponential():
     assert np.allclose(traj.values[:, 0], expected, rtol=1e-12)
 
 
+@pytest.mark.slow
 def test_jump_frequency_matches_tiny_rate():
     # frequency of paths with a jump ~ 1e-4 within 3 binomial se; a unit
     # magnitude rate keeps the multiplicative jumps representable
