@@ -195,6 +195,17 @@ def test_glioma_kernel_is_velocity_flip():
         assert sample_mode(built.model.kernel, x0, u) == 1
 
 
+def test_glioma_kernel_honours_diffusivity_and_speeds():
+    # the kernel weights carry no diffusivity factor (it would cancel when
+    # the weights are normalised); a non-default speed still flips to -v
+    built = build_model("glioma", alpha=2.0)
+    values = built.model.modes.values
+    assert values == (-2.0, 2.0)
+    a = cumulative_weights(built.model.kernel, HybridState((0.3, 0.5), 0, 0.0))
+    assert a == pytest.approx([0.0, 0.0, 1.0])
+    assert values[sample_mode(built.model.kernel, HybridState((0.3, 0.5), 1, 0.0), 0.5)] == -2.0
+
+
 def test_glioma_drift_components():
     built = build_model("glioma", a=0.5, b=0.2)
     alpha = built.params.alpha
