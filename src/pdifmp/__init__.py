@@ -5,7 +5,6 @@ from .core import (
     HybridState,
     ModeSet,
     PDifMPModel,
-    SamplerKernel,
     Trajectory,
     cumulative_weights,
     sample_mode,
@@ -18,13 +17,10 @@ from .flows import (
     GliomaSplitting,
     em_interpolate,
     em_step,
-    exact_gbm_flow,
     phi1,
 )
 from .jump_engine import (
     JumpAdaptedGrid,
-    accept_candidate,
-    apply_jump,
     next_jump,
     simulate_batch,
     simulate_coupled_pair,
@@ -42,7 +38,6 @@ from .analysis import (
     ConvergenceReport,
     fit_slope,
     grow_weak_error_estimate,
-    ks_statistic,
     strong_rmse,
     sup_difference,
 )
@@ -61,19 +56,14 @@ __all__ = [
     "JumpAdaptedGrid",
     "ModeSet",
     "PDifMPModel",
-    "SamplerKernel",
     "Trajectory",
-    "accept_candidate",
-    "apply_jump",
     "build_model",
     "cumulative_weights",
     "em_interpolate",
     "em_step",
-    "exact_gbm_flow",
     "fit_slope",
     "fork_for_path",
     "grow_weak_error_estimate",
-    "ks_statistic",
     "list_model_ids",
     "make_glioma",
     "next_jump",

@@ -86,15 +86,6 @@ def sup_difference(pair: tuple[Trajectory, Trajectory]) -> float:
     return float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d))))
 
 
-def coupling_diverged(pair: tuple[Trajectory, Trajectory]) -> bool:
-    """True when the two sides disagree on jump times or mode sequences."""
-    a, b = pair
-    return not (
-        np.array_equal(a.jump_times, b.jump_times)
-        and np.array_equal(a.interval_modes, b.interval_modes)
-    )
-
-
 def fit_slope(rows: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares slope and intercept of log2(metric) against log2(h)."""
     if len(rows) < 2:
@@ -105,18 +96,6 @@ def fit_slope(rows: Sequence[tuple[float, float]]) -> tuple[float, float]:
         raise ValueError("slope fitting needs positive step sizes and metric values")
     slope, intercept = np.polyfit(np.log2(hs), np.log2(vals), 1)
     return float(slope), float(intercept)
-
-
-def ks_statistic(samples: Sequence[float], cdf: Callable[[float], float]) -> float:
-    """Kolmogorov-Smirnov statistic sup |empirical CDF - cdf|."""
-    xs = np.sort(np.asarray(samples, dtype=float))
-    n = len(xs)
-    if n == 0:
-        raise ValueError("samples must be nonempty")
-    f = np.array([cdf(x) for x in xs])
-    upper = np.max(np.arange(1, n + 1) / n - f)
-    lower = np.max(f - np.arange(0, n) / n)
-    return float(max(upper, lower))
 
 
 def grow_weak_error_estimate(

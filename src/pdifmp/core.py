@@ -3,10 +3,9 @@
 A process is described by a characteristic triple: the flow of an SDE for
 the continuous component between jumps, a state-dependent jump rate with a
 global dominating bound, and a Markov kernel that resamples the discrete
-mode at jump times.  The mode kernel comes in two forms: cumulative weights
-over an ordered, finite mode set (which enables inverse-CDF sampling and
-distribution tests), or an opaque sampler for kernels that are only
-available procedurally.
+mode at jump times.  The mode kernel is given by cumulative weights over an
+ordered, finite mode set, which enables inverse-CDF sampling and
+distribution tests.
 """
 
 from __future__ import annotations
@@ -79,16 +78,6 @@ class CumulativeKernel:
 
 
 @dataclass(frozen=True)
-class SamplerKernel:
-    """Mode kernel given directly as a sampler ``u, y, v -> mode index``."""
-
-    sample: Callable[[float, tuple, int], int]
-
-
-ModeKernel = CumulativeKernel | SamplerKernel
-
-
-@dataclass(frozen=True)
 class PDifMPModel:
     """A hybrid jump-diffusion model as function values.
 
@@ -103,7 +92,7 @@ class PDifMPModel:
     diffusion: Callable[[tuple, int], tuple]
     rate: Callable[[tuple, int], float]
     rate_bound: float
-    kernel: ModeKernel
+    kernel: CumulativeKernel
     horizon: float
     initial_state: HybridState
     # Optional transform of the continuous state at an accepted jump:
@@ -131,15 +120,11 @@ class PDifMPModel:
             raise ModelDefinitionError(f"initial mode index {self.initial_state.v} out of range")
         if self.bound_policy not in ("error", "count"):
             raise ModelDefinitionError(f"unknown bound_policy {self.bound_policy!r}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.initial_state.y)
+        if not isinstance(self.kernel, CumulativeKernel):
+            raise ModelDefinitionError(f"kernel must be a CumulativeKernel, got {type(self.kernel).__name__}")
 
 
-def _cumulative_weights_raw(kernel: ModeKernel, y: tuple, v: int) -> list[float]:
-    if not isinstance(kernel, CumulativeKernel):
-        raise ModelDefinitionError("kernel is in sampler form; cumulative weights unavailable")
+def _cumulative_weights_raw(kernel: CumulativeKernel, y: tuple, v: int) -> list[float]:
     a = [float(w) for w in kernel.weights(y, v)]
     if len(a) < 2:
         raise ModelDefinitionError(f"weights must cover at least one mode, got {a!r}")
@@ -160,24 +145,19 @@ def _cumulative_weights_raw(kernel: ModeKernel, y: tuple, v: int) -> list[float]
     return a
 
 
-def cumulative_weights(kernel: ModeKernel, x: HybridState) -> list[float]:
+def cumulative_weights(kernel: CumulativeKernel, x: HybridState) -> list[float]:
     """Evaluate and validate the cumulative kernel weights at state ``x``.
 
     Checks: a_0 = 0, nondecreasing, a_end = 1 within WEIGHT_TOL, and zero
-    increment for the current mode.  Sampler-form kernels have no weights
-    to expose and are rejected here.
+    increment for the current mode; a violation raises
+    ``ModelDefinitionError``.
     """
     return _cumulative_weights_raw(kernel, x.y, x.v)
 
 
-def _sample_mode_raw(kernel: ModeKernel, y: tuple, v: int, u: float) -> int:
+def _sample_mode_raw(kernel: CumulativeKernel, y: tuple, v: int, u: float) -> int:
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"kernel uniform must lie in [0, 1], got {u!r}")
-    if isinstance(kernel, SamplerKernel):
-        idx = kernel.sample(u, y, v)
-        if idx == v:
-            raise ModelDefinitionError(f"sampler kernel returned the current mode {idx}")
-        return idx
     a = _cumulative_weights_raw(kernel, y, v)
     if u == 0.0:
         for i in range(1, len(a)):
@@ -195,13 +175,13 @@ def _sample_mode_raw(kernel: ModeKernel, y: tuple, v: int, u: float) -> int:
     raise ModelDefinitionError("kernel has no positive-mass mode")
 
 
-def sample_mode(kernel: ModeKernel, x: HybridState, u: float) -> int:
+def sample_mode(kernel: CumulativeKernel, x: HybridState, u: float) -> int:
     """Draw the post-jump mode index for uniform ``u`` in [0, 1].
 
-    For cumulative kernels this is the inverse-CDF walk: the unique ``i``
-    with ``a_{i-1} < u <= a_i``.  ``u = 0`` falls in no half-open bin and is
-    mapped to the first bin with positive mass (a zero-probability event for
-    a continuous uniform, handled for totality).
+    This is the inverse-CDF walk over the cumulative weights: the unique
+    ``i`` with ``a_{i-1} < u <= a_i``.  ``u = 0`` falls in no half-open bin
+    and is mapped to the first bin with positive mass (a zero-probability
+    event for a continuous uniform, handled for totality).
     """
     return _sample_mode_raw(kernel, x.y, x.v, u)
 
@@ -230,9 +210,8 @@ def validate_model(model: PDifMPModel, probe_states: Sequence[HybridState]) -> V
     """Check a model's standing assumptions at a set of probe states.
 
     Violations are collected into the report rather than raised: rate above
-    its bound, malformed kernel weights, self-jump mass, and impure rate
-    evaluations.  Sampler-form kernels are probed by pushing a deterministic
-    grid of uniforms through the sampler.
+    its bound, malformed cumulative kernel weights, self-jump mass, and
+    impure rate evaluations.
     """
     if not probe_states:
         raise ValueError("probe_states must be nonempty")
@@ -254,21 +233,10 @@ def validate_model(model: PDifMPModel, probe_states: Sequence[HybridState]) -> V
             )
         if float(model.rate(state.y, state.v)) != rate:
             report.add(state, "purity", "rate returned different values for identical inputs")
-        if isinstance(model.kernel, CumulativeKernel):
-            try:
-                cumulative_weights(model.kernel, state)
-            except ModelDefinitionError as exc:
-                report.add(state, "kernel", str(exc))
-        else:
-            for u in np.linspace(0.005, 0.995, 100):
-                try:
-                    idx = model.kernel.sample(float(u), state.y, state.v)
-                except Exception as exc:
-                    report.add(state, "kernel", f"sampler failed at u={u:.3f}: {exc}")
-                    break
-                if idx == state.v:
-                    report.add(state, "kernel", f"sampler returned the current mode at u={u:.3f}")
-                    break
+        try:
+            cumulative_weights(model.kernel, state)
+        except ModelDefinitionError as exc:
+            report.add(state, "kernel", str(exc))
     return report
 
 
@@ -283,10 +251,6 @@ class PathStats:
     rate_min: float = math.inf
     rate_max: float = -math.inf
     hint_excursions: tuple = ()
-
-    @property
-    def n_rejected(self) -> int:
-        return self.n_proposals - self.n_accepted
 
 
 @dataclass

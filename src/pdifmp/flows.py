@@ -73,13 +73,6 @@ def em_interpolate(
     return tuple(y_i[j] + b[j] * dt + s[j] * w_partial for j in range(len(y_i)))
 
 
-def exact_gbm_flow(y0: float, mu: float, sigma: float, t: float, w_t: float) -> float:
-    """Closed-form geometric Brownian motion: y0 exp((mu - sigma^2/2) t + sigma W_t)."""
-    if t < 0.0:
-        raise ValueError(f"elapsed time must be nonnegative, got {t!r}")
-    return y0 * math.exp((mu - 0.5 * sigma * sigma) * t + sigma * w_t)
-
-
 @dataclass(frozen=True)
 class EulerMaruyama:
     """Generic drift/diffusion integrator; valid for any model."""

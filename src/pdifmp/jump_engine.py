@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HybridState, PathStats, PDifMPModel, Trajectory, _sample_mode_raw, sample_mode
+from .core import HybridState, PathStats, PDifMPModel, Trajectory, _sample_mode_raw
 from .drivers import DriverStream
 from .errors import RateBoundError, RunawayRateError, SimulationDivergedError
 
@@ -60,7 +60,7 @@ class JumpAdaptedGrid:
     long; a shorter interval is one cell of its own length.
     """
 
-    __slots__ = ("left", "right", "nominal_h", "n_cells", "h_local")
+    __slots__ = ("left", "right", "n_cells", "h_local")
 
     def __init__(self, left: float, right: float, nominal_h: float) -> None:
         if not nominal_h > 0.0:
@@ -73,7 +73,6 @@ class JumpAdaptedGrid:
             n = 1
         self.left = left
         self.right = right
-        self.nominal_h = nominal_h
         self.n_cells = n
         self.h_local = length / n
 
@@ -117,33 +116,6 @@ def _apply_jump_transform(jump_update, y: tuple, v_new: int, u_mag: float, t: fl
         if not math.isfinite(c):
             raise SimulationDivergedError(t, out, "jump transform left the finite range")
     return out
-
-
-def accept_candidate(model: PDifMPModel, y_at_candidate: tuple, v: int, u: float) -> bool:
-    """Thinning test: accept iff ``u * rate_bound <= rate(y, v)``."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"thinning uniform must lie in [0, 1], got {u!r}")
-    lam = model.rate(y_at_candidate, v)
-    if lam > model.rate_bound and model.bound_policy == "error":
-        raise RateBoundError(lam, model.rate_bound, y_at_candidate, v)
-    return u * model.rate_bound <= lam
-
-
-def apply_jump(
-    model: PDifMPModel,
-    x_pre: HybridState,
-    mode_uniform: float,
-    magnitude_uniform: float | None = None,
-) -> HybridState:
-    """Resample the mode at an accepted jump; y and t are preserved unless
-    the model installs a continuous-state jump transform."""
-    v_new = sample_mode(model.kernel, x_pre, mode_uniform)
-    y_new = x_pre.y
-    if model.jump_update is not None:
-        if magnitude_uniform is None:
-            raise ValueError("model rescales y at jumps; magnitude_uniform is required")
-        y_new = _apply_jump_transform(model.jump_update, x_pre.y, v_new, magnitude_uniform, x_pre.t)
-    return HybridState(y_new, v_new, x_pre.t)
 
 
 def _check_args(h, T, stride, t0: float = 0.0) -> None:
@@ -333,8 +305,7 @@ def next_jump(
     stream's indexed proposal times, and is tested with the stream's
     ``k``-th acceptance uniform; use a fresh stream per call, as for
     ``simulate_path``.  Rejected proposals still advance the flow and appear
-    in the returned grid samples.  The jump itself is not applied; pair
-    with ``apply_jump``.
+    in the returned grid samples.  The jump itself is not applied.
     """
     T = T if T is not None else model.horizon
     _check_args(h, T, 1, state.t)

@@ -196,27 +196,6 @@ def _build_weak_test(
 # -- microscale cell migration ------------------------------------------------
 
 
-def ecm_concentration(x: float) -> float:
-    """Sigmoidal local concentration of extracellular binding sites."""
-    return 1.0 / (1.0 + math.exp(-x))
-
-
-def ecm_concentration_dx(x: float) -> float:
-    e = math.exp(-x)
-    s = 1.0 / (1.0 + e)
-    return e * s * s
-
-
-def bound_receptor_fraction(conc: float, k_plus: float, k_minus: float) -> float:
-    """Equilibrium fraction of receptors bound at local concentration ``conc``."""
-    return k_plus * conc / (k_plus * conc + k_minus)
-
-
-def bound_receptor_fraction_dconc(conc: float, k_plus: float, k_minus: float) -> float:
-    denom = k_plus * conc + k_minus
-    return k_plus * k_minus / (denom * denom)
-
-
 @dataclass(frozen=True)
 class GliomaParams:
     """Parameters of the 1D microscale cell-migration system.
@@ -291,6 +270,9 @@ def make_glioma(params: GliomaParams) -> PDifMPModel:
     mode_values = modes.values
 
     def drift(y: tuple, v: int) -> tuple:
+        # conc = 1/(1 + e^-x) is the binding-site concentration, e conc^2 its
+        # x-derivative, and kp km / kappa^2 the conc-derivative of the
+        # equilibrium bound fraction kp conc / (kp conc + km)
         x, z = y
         vel = mode_values[v]
         e = math.exp(-x)
@@ -349,8 +331,9 @@ def list_model_ids() -> list[str]:
 def build_model(model_id: str, **cfg) -> BuiltModel:
     """Instantiate a catalog model by string id with config overrides.
 
-    Each model accepts exactly the parameters it reads; any other key
-    raises ``ConfigError``.
+    Each model accepts exactly the parameters it reads; any other key, or a
+    value the model cannot be built from (wrong type, not finite, out of
+    range), raises ``ConfigError``.
     """
     try:
         builder = _CATALOG[model_id]
@@ -358,5 +341,7 @@ def build_model(model_id: str, **cfg) -> BuiltModel:
         raise ConfigError(f"unknown model id {model_id!r}; known: {list_model_ids()}") from None
     try:
         return builder(**cfg)
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for model {model_id!r}: {exc}") from None

@@ -20,7 +20,6 @@ from pdifmp import (
     fit_slope,
     fork_for_path,
     grow_weak_error_estimate,
-    ks_statistic,
     next_jump,
     phi1,
     sample_mode,
@@ -31,7 +30,7 @@ from pdifmp import (
     sup_difference,
 )
 
-from util import constant_rate_model, uniform3_kernel
+from util import constant_rate_model, ks_statistic, uniform3_kernel
 
 SEED = 12345
 

@@ -10,13 +10,14 @@ from pdifmp import (
     fit_slope,
     fork_for_path,
     grow_weak_error_estimate,
-    ks_statistic,
     simulate_coupled_pair,
     strong_rmse,
     sup_difference,
 )
 from pdifmp.core import PathStats
 from pdifmp.errors import CouplingBrokenError
+
+from util import ks_statistic
 
 
 def make_traj(times, values):

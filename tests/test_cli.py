@@ -74,10 +74,15 @@ def test_config_m_zero_exits_64(tmp_path):
         dict(experiment="weak_error", model={"id": "weak_test"}, rel_se_target="x"),
         dict(experiment="tem_vs_tsm", model={"id": "glioma"}, h_list=[0.01], sup_ratio_max="x"),
         dict(experiment="tem_vs_tsm", model={"id": "glioma"}, h_list=[0.01], sup_ratio_max=[0.2]),
+        dict(experiment="tem_vs_tsm", model={"id": "glioma", "x0": "a"}, h_list=[0.01]),
+        dict(experiment="tem_vs_tsm", model={"id": "glioma", "x0": math.nan}, h_list=[0.01]),
+        dict(experiment="tem_vs_tsm", model={"id": "glioma", "horizon": math.inf}, h_list=[0.01]),
+        dict(model={"id": "example1", "y0": math.inf}),
     ],
     ids=[
         "max_paths", "trajectory_stride", "paths", "h_list", "seed", "slope_band", "ratio_band",
-        "rel_se_target", "sup_ratio_max", "sup_ratio_max_list",
+        "rel_se_target", "sup_ratio_max", "sup_ratio_max_list", "glioma_x0_str", "glioma_x0_nan",
+        "glioma_horizon_inf", "example1_y0_inf",
     ],
 )
 def test_malformed_numeric_config_exits_64(tmp_path, overrides):

@@ -8,7 +8,7 @@ from pdifmp import (
     CumulativeKernel,
     HybridState,
     ModeSet,
-    SamplerKernel,
+    PDifMPModel,
     cumulative_weights,
     sample_mode,
     validate_model,
@@ -95,10 +95,20 @@ def test_sample_mode_rejects_bad_uniform():
         sample_mode(flip_kernel(), HybridState((0.0,), 0, 0.0), -0.1)
 
 
-def test_sampler_kernel_self_jump_detected():
-    bad = SamplerKernel(lambda u, y, v: v)
-    with pytest.raises(ModelDefinitionError):
-        sample_mode(bad, HybridState((0.0,), 0, 0.0), 0.5)
+def test_model_rejects_kernel_without_cumulative_weights():
+    # a kernel in any other form, here a bare sampler, fails at construction
+    # instead of at the first accepted jump
+    with pytest.raises(ModelDefinitionError, match="CumulativeKernel"):
+        PDifMPModel(
+            modes=ModeSet((0, 1)),
+            drift=lambda y, v: (0.0,),
+            diffusion=lambda y, v: (0.0,),
+            rate=lambda y, v: 0.5,
+            rate_bound=1.0,
+            kernel=lambda u, y, v: 1 - v,
+            horizon=1.0,
+            initial_state=HybridState((1.0,), 0, 0.0),
+        )
 
 
 @given(st.floats(min_value=1e-12, max_value=1.0), st.integers(min_value=0, max_value=3))

@@ -5,6 +5,8 @@ import pytest
 
 from pdifmp import DriverStream, fork_for_path
 
+from util import ks_statistic
+
 MASK64 = (1 << 64) - 1
 
 
@@ -157,8 +159,6 @@ def test_wiener_block_equals_scalars():
 
 
 def test_thinning_uniforms_pass_ks():
-    from pdifmp import ks_statistic
-
     s = fork_for_path(101, 0)
     n = 10_000
     samples = [s.thinning_uniform(k) for k in range(1, n + 1)]

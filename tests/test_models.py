@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,6 @@ from pdifmp import (
     simulate_path,
 )
 from pdifmp.errors import ConfigError
-from pdifmp.models import (
-    bound_receptor_fraction,
-    bound_receptor_fraction_dconc,
-    ecm_concentration,
-    ecm_concentration_dx,
-)
 
 
 def test_catalog_ids():
@@ -118,34 +114,78 @@ def test_gbm_params_validation():
         build_model("example2", mu=0.0, sigma=0.1, y0=1.0, rate_value=0.0)
 
 
-# -- migration helpers --------------------------------------------------------------
+# -- migration drift ----------------------------------------------------------------
 
 
 def test_sigmoid_values():
-    assert ecm_concentration(0.0) == 0.5
-    assert ecm_concentration_dx(0.0) == 0.25
+    # at z = 0 the concentration c = 1/(1 + e^-x) enters the receptor drift
+    # only as vel k+ k- c'(x) / (k+ c + k-)^2: c = 1/2 and c' = 1/4 at x = 0,
+    # and c' vanishes far out on either side
+    built = build_model("glioma", k_plus=0.02, k_minus=0.01)
+    alpha = built.params.alpha
+    drift = built.model.drift
+    assert drift((0.0, 0.0), 1)[1] == pytest.approx(alpha * 0.02 * 0.01 / 0.02**2 * 0.25, rel=1e-14)
+    assert drift((0.0, 0.0), 0)[1] == pytest.approx(-alpha * 0.125, rel=1e-14)
+    for x in (-40.0, 40.0):
+        assert abs(drift((x, 0.0), 1)[1]) < 1e-16 * alpha
 
 
 def test_bound_fraction_value():
-    assert bound_receptor_fraction(0.5, 0.01, 0.01) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    # the z-relaxation rate in the drift is kappa = k+ c + k-, the denominator
+    # of the equilibrium bound fraction k+ c / kappa = (kappa - k-) / kappa;
+    # at x = 0 (c = 1/2) with k+ = k- = 0.01 that fraction is 1/3
+    built = build_model("glioma", k_plus=0.01, k_minus=0.01)
+    drift = built.model.drift
+    kappa = drift((0.0, 0.0), 1)[1] - drift((0.0, 1.0), 1)[1]
+    assert (kappa - 0.01) / kappa == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 def test_bound_fraction_derivative_matches_finite_difference():
+    # at z = 0 the receptor drift is vel d/dx f(c(x)), with the equilibrium
+    # bound fraction f(c) = k+ c / (k+ c + k-) and c = 1/(1 + e^-x); at
+    # z != 0 the relaxation -(k+ c + k-) z adds to it
     kp, km = 0.013, 0.008
-    eps = 1e-6
-    for conc in np.linspace(0.01, 0.99, 50):
-        fd = (
-            bound_receptor_fraction(conc + eps, kp, km)
-            - bound_receptor_fraction(conc - eps, kp, km)
-        ) / (2 * eps)
-        assert bound_receptor_fraction_dconc(conc, kp, km) == pytest.approx(fd, abs=1e-8)
+    built = build_model("glioma", k_plus=kp, k_minus=km)
+    alpha = built.params.alpha
+    drift = built.model.drift
+
+    def conc(x):
+        return 1.0 / (1.0 + math.exp(-x))
+
+    def fraction(x):
+        return kp * conc(x) / (kp * conc(x) + km)
+
+    eps = 1e-5
+    for x in np.linspace(-4.0, 4.0, 33):
+        fd = (fraction(x + eps) - fraction(x - eps)) / (2 * eps)
+        for v, vel in enumerate((-alpha, alpha)):
+            dz0 = drift((x, 0.0), v)[1]
+            assert dz0 == pytest.approx(vel * fd, rel=1e-7)
+            for z in (0.3, 0.9):
+                assert drift((x, z), v)[1] == pytest.approx(dz0 - (kp * conc(x) + km) * z, rel=1e-12)
 
 
 def test_sigmoid_derivative_matches_finite_difference():
+    # the drift carries the concentration c(x) in its z-relaxation rate
+    # kappa = k+ c + k- and its derivative c'(x) in the z = 0 receptor drift
+    # vel k+ k- c'(x) / kappa^2; a central difference of the one must match
+    # the other
+    kp, km = 1.0, 0.5
+    built = build_model("glioma", k_plus=kp, k_minus=km)
+    alpha = built.params.alpha
+    drift = built.model.drift
+
+    def kappa(x):
+        return drift((x, 0.0), 1)[1] - drift((x, 1.0), 1)[1]
+
+    def conc(x):
+        return (kappa(x) - km) / kp
+
     eps = 1e-6
     for x in np.linspace(-4, 4, 33):
-        fd = (ecm_concentration(x + eps) - ecm_concentration(x - eps)) / (2 * eps)
-        assert ecm_concentration_dx(x) == pytest.approx(fd, abs=1e-9)
+        fd = (conc(x + eps) - conc(x - eps)) / (2 * eps)
+        conc_dx = drift((x, 0.0), 1)[1] * kappa(x) ** 2 / (alpha * kp * km)
+        assert conc_dx == pytest.approx(fd, abs=1e-9)
 
 
 # -- migration model -----------------------------------------------------------------

@@ -1,8 +1,24 @@
-"""Small model builders shared across test modules."""
+"""Small model builders and statistics shared across test modules."""
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
+import numpy as np
+
 from pdifmp import CumulativeKernel, HybridState, ModeSet, PDifMPModel
+
+
+def ks_statistic(samples: Sequence[float], cdf: Callable[[float], float]) -> float:
+    """Kolmogorov-Smirnov statistic sup |empirical CDF - cdf|."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    n = len(xs)
+    if n == 0:
+        raise ValueError("samples must be nonempty")
+    f = np.array([cdf(x) for x in xs])
+    upper = np.max(np.arange(1, n + 1) / n - f)
+    lower = np.max(f - np.arange(0, n) / n)
+    return float(max(upper, lower))
 
 
 def flip_kernel() -> CumulativeKernel:
