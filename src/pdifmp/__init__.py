@@ -35,7 +35,6 @@ from .models import (
     make_glioma,
 )
 from .analysis import (
-    ConvergenceReport,
     fit_slope,
     grow_weak_error_estimate,
     strong_rmse,
@@ -44,7 +43,6 @@ from .analysis import (
 
 __all__ = [
     "BuiltModel",
-    "ConvergenceReport",
     "CumulativeKernel",
     "DriverStream",
     "EulerMaruyama",

@@ -12,7 +12,6 @@ independent sampling.  Observed orders come from ordinary least squares on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,32 +20,6 @@ from .core import PDifMPModel, Trajectory
 from .drivers import DriverStream
 from .errors import CouplingBrokenError
 from .jump_engine import simulate_coupled_pair
-
-
-@dataclass
-class ReportRow:
-    h: float
-    value: float
-    stderr: float
-    n_paths: int
-
-
-@dataclass
-class ConvergenceReport:
-    """Per-step-size metric values with a fitted log2-log2 slope."""
-
-    metric: str  # strong_rmse | weak_error | sup_difference
-    rows: list[ReportRow] = field(default_factory=list)
-    slope: float | None = None
-    intercept: float | None = None
-
-    def add(self, h: float, value: float, stderr: float = math.nan, n_paths: int = 0) -> None:
-        self.rows.append(ReportRow(h, value, stderr, n_paths))
-        self.rows.sort(key=lambda r: -r.h)
-
-    def fit(self) -> tuple[float, float]:
-        self.slope, self.intercept = fit_slope([(r.h, r.value) for r in self.rows])
-        return self.slope, self.intercept
 
 
 def _check_pair_grids(pair: tuple[Trajectory, Trajectory]) -> None:
@@ -107,11 +80,12 @@ def grow_weak_error_estimate(
     rel_se_target: float = 0.18,
     pilot: int = 20_000,
     max_paths: int = 2_500_000,
-    em=None,
+    *,
+    em,
 ) -> tuple[float, float, int]:
     """Common-driver Monte Carlo estimate of E[F(approx_T)] - E[F(exact_T)].
 
-    Path ``j`` runs one coupled pair (discretised side first) on the stream
+    Path ``j`` runs one coupled pair (the ``em`` side first) on the stream
     keyed by ``(seed, j)``.  Starting from ``pilot`` pairs, the path count
     grows until the standard error is small relative to the estimate or
     ``max_paths`` is reached; ``pilot = max_paths = M`` gives a fixed-size
@@ -122,10 +96,6 @@ def grow_weak_error_estimate(
         raise ValueError(f"model {model.name!r} has no exact flow; weak error needs one")
     if pilot < 1:
         raise ValueError(f"at least one pilot path required, got {pilot!r}")
-    if em is None:
-        from .flows import EulerMaruyama
-
-        em = EulerMaruyama()
     stream = DriverStream(seed, 0)
     total = 0.0
     total_sq = 0.0

@@ -16,28 +16,19 @@ import statistics
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .analysis import (
-    ConvergenceReport,
-    grow_weak_error_estimate,
-    strong_rmse,
-    sup_difference,
-)
+from .analysis import fit_slope, grow_weak_error_estimate, strong_rmse, sup_difference
 from .core import Trajectory, validate_model
 from .drivers import DriverStream
 from .errors import ConfigError
 from .jump_engine import simulate_coupled_pair, simulate_path
-from .models import build_model, list_model_ids
+from .models import BuiltModel, build_model, list_model_ids
 
-EXPERIMENTS = (
-    "convergence_example1",
-    "convergence_example2",
-    "weak_error",
-    "glioma_sweep",
-    "tem_vs_tsm",
-)
+# keys every experiment reads; EXPERIMENTS below lists the others each one reads
+COMMON_KEYS = ("experiment", "model", "h_list", "seed", "out_dir")
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -85,10 +76,10 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        experiment = _experiment(raw.get("experiment"))
+        unread = set(raw) - set(COMMON_KEYS) - set(experiment.keys)
+        if unread:
+            raise ConfigError(f"experiment {raw['experiment']!r} does not read config keys {sorted(unread)}")
         try:
             cfg = cls(**raw)
         except TypeError as exc:
@@ -97,8 +88,7 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; known: {EXPERIMENTS}")
+        experiment = _experiment(self.experiment)
         if not isinstance(self.model, dict) or "id" not in self.model:
             raise ConfigError("config.model must be an object with an 'id' key")
         if not isinstance(self.h_list, (list, tuple)) or not self.h_list:
@@ -109,6 +99,10 @@ class ExperimentConfig:
             raise ConfigError("h_list must be strictly decreasing")
         if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+        if not isinstance(self.dump_trajectories, bool):
+            raise ConfigError(f"dump_trajectories must be true or false, got {self.dump_trajectories!r}")
         for name in ("paths", "seeds", "max_paths", "trajectory_stride"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
@@ -121,11 +115,19 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_real(value) or not value > 0.0:
                 raise ConfigError(f"{name} must be a positive number, got {value!r}")
+        if "sweep" in experiment.keys:
+            if not isinstance(self.sweep, dict) or sorted(self.sweep) != ["lambda0", "lambda1"]:
+                raise ConfigError(f"sweep must give exactly 'lambda0' and 'lambda1', got {self.sweep!r}")
+            for name, values in self.sweep.items():
+                if not isinstance(values, list) or not values or not all(map(_is_real, values)):
+                    raise ConfigError(f"sweep.{name} must be a nonempty list of numbers, got {values!r}")
+                if name in self.model:
+                    raise ConfigError(f"{name} is swept, so it cannot also be set in model")
+            if len(self.h_list) != 1:
+                raise ConfigError(f"a sweep runs at one step size; h_list has {len(self.h_list)} entries")
 
     def model_kwargs(self) -> dict:
-        kw = dict(self.model)
-        kw.pop("id")
-        return kw
+        return {k: v for k, v in self.model.items() if k != "id"}
 
 
 def _fmt(cell) -> str:
@@ -197,37 +199,34 @@ def write_trajectory_json(path: Path, traj: Trajectory) -> None:
     _write_json(path, payload)
 
 
-def emit_plot_data(report: ConvergenceReport) -> tuple[list[str], list[list[float]]]:
-    """log2-log2 rows plus reference lines of slope 1/2 and 1 anchored at
-    the coarsest step size."""
-    if not report.rows:
-        raise ValueError("report has no rows")
-    h0 = report.rows[0].h
-    v0 = report.rows[0].value
+def emit_plot_data(rows: list[list]) -> tuple[list[str], list[list[float]]]:
+    """log2-log2 points of ``[h, metric, ...]`` rows plus reference lines of
+    slope 1/2 and 1 anchored at the first (coarsest) row."""
+    if not rows:
+        raise ValueError("no rows to plot")
+    h0, v0 = rows[0][0], rows[0][1]
     header = ["log2_h", "log2_metric", "ref_slope_05", "ref_slope_1"]
-    rows = []
-    for r in report.rows:
-        lh = math.log2(r.h)
-        rows.append(
+    plot = []
+    for h, value, *_ in rows:
+        lh = math.log2(h)
+        plot.append(
             [
                 lh,
-                math.log2(r.value),
+                math.log2(value),
                 math.log2(v0) + 0.5 * (lh - math.log2(h0)),
                 math.log2(v0) + 1.0 * (lh - math.log2(h0)),
             ]
         )
-    return header, rows
+    return header, plot
 
 
 # -- experiments ---------------------------------------------------------------
 
 
-def _run_strong_convergence(cfg: ExperimentConfig, out: Path) -> int:
-    built = build_model(cfg.model["id"], **cfg.model_kwargs())
-    if built.exact is None:
-        raise ConfigError(f"model {cfg.model['id']!r} has no exact flow for strong-error coupling")
+def _run_strong_convergence(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> int:
+    (built,) = models
     em = built.em
-    report = ConvergenceReport("strong_rmse")
+    rows = []
     stream = DriverStream(cfg.seed, 0)
     for li, h in enumerate(cfg.h_list):
         pairs = []
@@ -247,18 +246,14 @@ def _run_strong_convergence(cfg: ExperimentConfig, out: Path) -> int:
         worst = int(np.argmax(d2.mean(axis=0)))
         se_meansq = float(d2[:, worst].std(ddof=1) / math.sqrt(cfg.paths)) if cfg.paths > 1 else math.nan
         se = se_meansq / (2.0 * rmse) if rmse > 0 else math.nan
-        report.add(h, rmse, se, cfg.paths)
+        rows.append([h, rmse, se, cfg.paths])
         print(f"h={h:g} rmse={rmse:.6g} se={se:.3g} paths={cfg.paths}")
-    slope, intercept = report.fit()
+    slope, intercept = fit_slope(rows)
     lo, hi = cfg.slope_band
     passed = lo <= slope <= hi
-    _write_csv(
-        out / "results.csv",
-        ["h", "metric", "stderr", "paths"],
-        [[r.h, r.value, r.stderr, r.n_paths] for r in report.rows],
-    )
-    header, rows = emit_plot_data(report)
-    _write_csv(out / "plot.csv", header, rows)
+    _write_csv(out / "results.csv", ["h", "metric", "stderr", "paths"], rows)
+    header, plot = emit_plot_data(rows)
+    _write_csv(out / "plot.csv", header, plot)
     _write_json(
         out / "summary.json",
         {
@@ -275,8 +270,8 @@ def _run_strong_convergence(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK if passed else EXIT_BAND
 
 
-def _run_weak_error(cfg: ExperimentConfig, out: Path) -> int:
-    built = build_model(cfg.model["id"], **cfg.model_kwargs())
+def _run_weak_error(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> int:
+    (built,) = models
 
     def F(y: tuple, v: int) -> float:
         return y[0]
@@ -321,66 +316,35 @@ def _run_weak_error(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK if passed else EXIT_BAND
 
 
-def _run_glioma_sweep(cfg: ExperimentConfig, out: Path) -> int:
-    lam0_list = cfg.sweep.get("lambda0", [0.2, 0.7])
-    lam1_list = cfg.sweep.get("lambda1", [0.08])
-    h = cfg.h_list[-1]
+def _run_glioma_sweep(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> int:
+    (h,) = cfg.h_list
     rows = []
     ok = True
-    runs = [(l0, l1) for l0 in lam0_list for l1 in lam1_list]
     stream = DriverStream(cfg.seed, 0)
-    for ri, (lam0, lam1) in enumerate(runs):
-        kw = cfg.model_kwargs()
-        kw.update(lambda0=lam0, lambda1=lam1)
-        built = build_model("glioma", **kw)
+    for ri, built in enumerate(models):
+        lam0, lam1 = built.params.lambda0, built.params.lambda1
         stream.reset(cfg.seed, ri)
-        traj = simulate_path(
-            built.model, built.em, stream, h=h, stride=cfg.trajectory_stride
-        )
+        traj = simulate_path(built.model, built.em, stream, h=h, stride=cfg.trajectory_stride)
+        stats = traj.stats
         finite = bool(np.all(np.isfinite(traj.values)))
         rate_lo = max(0.0, lam0 - lam1)
         rate_ok = (
-            math.isnan(traj.stats.rate_min)
-            or (traj.stats.rate_min >= rate_lo - 1e-12 and traj.stats.rate_max <= lam0 + 1e-12)
+            math.isnan(stats.rate_min)
+            or (stats.rate_min >= rate_lo - 1e-12 and stats.rate_max <= lam0 + 1e-12)
         )
         ok = ok and finite and rate_ok
-        rows.append(
-            [
-                lam0,
-                lam1,
-                h,
-                traj.jump_count,
-                traj.stats.n_proposals,
-                traj.stats.rate_min,
-                traj.stats.rate_max,
-                traj.stats.hint_excursions[0],
-                traj.stats.hint_excursions[1],
-                int(finite),
-            ]
-        )
+        rows.append([lam0, lam1, h, traj.jump_count, stats.n_proposals, stats.rate_min, stats.rate_max,
+                     stats.hint_excursions[0], stats.hint_excursions[1], int(finite)])
         if cfg.dump_trajectories:
             write_trajectory_csv(out / "trajectories" / f"glioma_{ri:03d}.csv", traj)
             write_trajectory_json(out / "trajectories" / f"glioma_{ri:03d}.json", traj)
         print(
             f"lambda0={lam0:g} lambda1={lam1:g} jumps={traj.jump_count} "
-            f"excursions={traj.stats.hint_excursions} finite={finite} rate_ok={rate_ok}"
+            f"excursions={stats.hint_excursions} finite={finite} rate_ok={rate_ok}"
         )
-    _write_csv(
-        out / "results.csv",
-        [
-            "lambda0",
-            "lambda1",
-            "h",
-            "jumps",
-            "proposals",
-            "rate_min",
-            "rate_max",
-            "excursions_x",
-            "excursions_z",
-            "finite",
-        ],
-        rows,
-    )
+    header = ["lambda0", "lambda1", "h", "jumps", "proposals", "rate_min", "rate_max", "excursions_x",
+              "excursions_z", "finite"]
+    _write_csv(out / "results.csv", header, rows)
     _write_json(
         out / "summary.json",
         {"experiment": cfg.experiment, "passed": ok, "runs": len(rows), "seed": cfg.seed},
@@ -388,8 +352,8 @@ def _run_glioma_sweep(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK if ok else EXIT_BAND
 
 
-def _run_tem_vs_tsm(cfg: ExperimentConfig, out: Path) -> int:
-    built = build_model("glioma", **cfg.model_kwargs())
+def _run_tem_vs_tsm(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> int:
+    (built,) = models
     em = built.em
     tsm = built.splitting
     rows = []
@@ -425,18 +389,55 @@ def _run_tem_vs_tsm(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK if passed else EXIT_BAND
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """One CLI study: its runner, the ``BuiltModel`` integrator it pairs
+    with EM (None: EM alone), and the keys it reads besides ``COMMON_KEYS``."""
+
+    run: Callable[[ExperimentConfig, list[BuiltModel], Path], int]
+    pairs_with: str | None
+    keys: tuple[str, ...]
+
+
+_STRONG = Experiment(_run_strong_convergence, "exact", ("paths", "slope_band"))
+EXPERIMENTS: dict[str, Experiment] = {
+    # one study under two names: configs and summary.json carry the name
+    "convergence_example1": _STRONG,
+    "convergence_example2": _STRONG,
+    "weak_error": Experiment(_run_weak_error, "exact", ("rel_se_target", "max_paths", "ratio_band")),
+    "glioma_sweep": Experiment(_run_glioma_sweep, None, ("sweep", "dump_trajectories", "trajectory_stride")),
+    "tem_vs_tsm": Experiment(_run_tem_vs_tsm, "splitting", ("seeds", "sup_ratio_max")),
+}
+
+
+def _experiment(name) -> Experiment:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}; known: {list(EXPERIMENTS)}")
+    return EXPERIMENTS[name]
+
+
+def build_models(cfg: ExperimentConfig) -> list[BuiltModel]:
+    """Every model the study runs, from ``cfg.model``: one per (lambda0,
+    lambda1) point of a sweep, else one.  Raises ``ConfigError`` when the
+    model lacks the integrator the study pairs with EM."""
+    experiment = _experiment(cfg.experiment)
+    points = [{}]
+    if "sweep" in experiment.keys:
+        points = [{"lambda0": l0, "lambda1": l1} for l0 in cfg.sweep["lambda0"] for l1 in cfg.sweep["lambda1"]]
+    models = [build_model(cfg.model["id"], **cfg.model_kwargs(), **point) for point in points]
+    if experiment.pairs_with is not None and getattr(models[0], experiment.pairs_with) is None:
+        raise ConfigError(
+            f"model {cfg.model['id']!r} has no {experiment.pairs_with} integrator, "
+            f"which {cfg.experiment!r} pairs with EM"
+        )
+    return models
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
+    models = build_models(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.experiment == "convergence_example1" or cfg.experiment == "convergence_example2":
-        return _run_strong_convergence(cfg, out)
-    if cfg.experiment == "weak_error":
-        return _run_weak_error(cfg, out)
-    if cfg.experiment == "glioma_sweep":
-        return _run_glioma_sweep(cfg, out)
-    if cfg.experiment == "tem_vs_tsm":
-        return _run_tem_vs_tsm(cfg, out)
-    raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+    return EXPERIMENTS[cfg.experiment].run(cfg, models, out)
 
 
 # -- entry points --------------------------------------------------------------
@@ -456,18 +457,20 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
-    built = build_model(cfg.model["id"], **cfg.model_kwargs())
-    report = validate_model(built.model, [built.model.initial_state])
-    # bound violations are tolerated (counted, not raised) for models that
-    # reproduce a published configuration verbatim
-    tolerated = built.model.bound_policy == "count"
-    hard = [i for i in report.issues if not (tolerated and i.check == "rate_bound")]
-    for issue in report.issues:
-        level = "note" if issue not in hard else "error"
-        print(f"{level} {issue.check}: {issue.message}")
+    models = build_models(cfg)
+    hard = 0
+    for built in models:
+        report = validate_model(built.model, [built.model.initial_state])
+        # bound violations are tolerated (counted, not raised) for models that
+        # reproduce a published configuration verbatim
+        tolerated = built.model.bound_policy == "count"
+        for issue in report.issues:
+            is_hard = not (tolerated and issue.check == "rate_bound")
+            hard += is_hard
+            print(f"{'error' if is_hard else 'note'} {issue.check}: {issue.message}")
     if hard:
         return EXIT_RUNTIME
-    print(f"config ok: model {cfg.model['id']!r}, {report.checked_states} probe state(s) checked")
+    print(f"config ok: {len(models)} {cfg.model['id']!r} model(s), each checked at its initial state")
     return EXIT_OK
 
 

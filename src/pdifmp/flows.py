@@ -35,12 +35,7 @@ def em_step(model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
     try:
         b = model.drift(y, v)
         s = model.diffusion(y, v)
-        if len(y) == 1:
-            out = (y[0] + b[0] * h + s[0] * dw,)
-        elif len(y) == 2:
-            out = (y[0] + b[0] * h + s[0] * dw, y[1] + b[1] * h + s[1] * dw)
-        else:
-            out = tuple(y[j] + b[j] * h + s[j] * dw for j in range(len(y)))
+        out = tuple(y[j] + b[j] * h + s[j] * dw for j in range(len(y)))
     except OverflowError:
         raise SimulationDivergedError(math.nan, y, "overflow in Euler-Maruyama step") from None
     for c in out:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pdifmp import (
-    ConvergenceReport,
     Trajectory,
     build_model,
     fit_slope,
@@ -166,16 +165,6 @@ def test_fit_slope_input_validation():
         fit_slope([(0.5, 1.0), (-0.25, 0.5)])
 
 
-def test_report_sorts_rows_and_fits():
-    rep = ConvergenceReport("strong_rmse")
-    rep.add(0.125, math.sqrt(0.125))
-    rep.add(0.5, math.sqrt(0.5))
-    rep.add(0.25, math.sqrt(0.25))
-    assert [r.h for r in rep.rows] == [0.5, 0.25, 0.125]
-    slope, _ = rep.fit()
-    assert slope == pytest.approx(0.5, abs=1e-12)
-
-
 # -- ks_statistic -------------------------------------------------------------------
 
 
@@ -242,13 +231,13 @@ def test_weak_error_zero_for_constant_functional():
 def test_weak_error_requires_exact_flow():
     built = build_model("glioma")
     with pytest.raises(ValueError):
-        grow_weak_error_estimate(built.model, None, F_first, h=0.1, seed=1, pilot=10, max_paths=10)
+        grow_weak_error_estimate(built.model, None, F_first, h=0.1, seed=1, pilot=10, max_paths=10, em=built.em)
 
 
 def test_weak_error_requires_a_pilot_path():
     built = build_model("weak_test")
     with pytest.raises(ValueError):
-        grow_weak_error_estimate(built.model, built.exact, F_first, h=0.1, seed=1, pilot=0, max_paths=10)
+        grow_weak_error_estimate(built.model, built.exact, F_first, h=0.1, seed=1, pilot=0, max_paths=10, em=built.em)
 
 
 @pytest.mark.slow
@@ -281,13 +270,13 @@ def test_weak_error_first_order_scaling_smoke():
 
 def test_coupled_rmse_report_end_to_end():
     built = build_model("example1")
-    report = ConvergenceReport("strong_rmse")
+    rows = []
     for li, k in enumerate(range(4, 8)):
         h = 2.0**-k
         pairs = []
         for j in range(60):
             stream = fork_for_path(9, li * 60 + j)
             pairs.append(simulate_coupled_pair(built.model, built.em, built.exact, stream, h=h))
-        report.add(h, strong_rmse(pairs), n_paths=60)
-    slope, _ = report.fit()
+        rows.append((h, strong_rmse(pairs)))
+    slope, _ = fit_slope(rows)
     assert 0.3 <= slope <= 0.7

@@ -6,25 +6,42 @@ from pathlib import Path
 
 import pytest
 
-from pdifmp.analysis import ConvergenceReport
-from pdifmp.cli import EXIT_BAND, EXIT_CONFIG, EXIT_OK, ExperimentConfig, emit_plot_data, main
+from pdifmp.cli import (
+    COMMON_KEYS,
+    EXIT_BAND,
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXPERIMENTS,
+    ExperimentConfig,
+    emit_plot_data,
+    main,
+)
 from pdifmp.errors import ConfigError
 
+# slim smoke configs, each with only the keys its experiment reads: the wide
+# bands keep tiny-M pipeline checks from tripping on Monte Carlo noise (the
+# statistical gates run at full scale in test_acceptance)
+STRONG_BASE = {"h_list": [2.0**-4, 2.0**-5, 2.0**-6], "paths": 8, "slope_band": [0.0, 1.5]}
+BASE = {
+    "convergence_example1": {"model": {"id": "example1"}, **STRONG_BASE},
+    "convergence_example2": {"model": {"id": "example2"}, **STRONG_BASE},
+    "weak_error": {
+        "model": {"id": "weak_test"}, "h_list": [0.25, 0.125], "max_paths": 3000, "rel_se_target": 0.5,
+        "ratio_band": [0.1, 40.0],
+    },
+    "glioma_sweep": {
+        "model": {"id": "glioma", "horizon": 5.0}, "h_list": [0.01],
+        "sweep": {"lambda0": [0.2], "lambda1": [0.08]}, "trajectory_stride": 50,
+    },
+    "tem_vs_tsm": {
+        "model": {"id": "glioma", "lambda0": 0.7, "lambda1": 0.08, "horizon": 5.0}, "h_list": [0.01, 0.001],
+        "seeds": 5, "sup_ratio_max": 1.0,
+    },
+}
 
-def write_config(path: Path, **overrides) -> Path:
-    # slim smoke configs: the wide slope band keeps tiny-M pipeline checks
-    # from tripping on Monte Carlo noise (the statistical gates run at full
-    # scale in test_acceptance)
-    cfg = {
-        "experiment": "convergence_example1",
-        "model": {"id": "example1"},
-        "h_list": [2.0**-4, 2.0**-5, 2.0**-6],
-        "paths": 8,
-        "seed": 7,
-        "slope_band": [0.0, 1.5],
-        "out_dir": str(path / "out"),
-    }
-    cfg.update(overrides)
+
+def write_config(path: Path, experiment: str = "convergence_example1", **overrides) -> Path:
+    cfg = {"experiment": experiment, "seed": 7, "out_dir": str(path / "out"), **BASE[experiment], **overrides}
     p = path / "config.json"
     p.write_text(json.dumps(cfg))
     return p
@@ -41,7 +58,7 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_config_rejects_zero_paths():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(
-            {"experiment": "weak_error", "model": {"id": "weak_test"}, "h_list": [0.1], "paths": 0}
+            {"experiment": "convergence_example1", "model": {"id": "example1"}, "h_list": [0.1, 0.05], "paths": 0}
         )
 
 
@@ -61,23 +78,29 @@ def test_config_m_zero_exits_64(tmp_path):
     assert main(["run", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_base_config_validates(tmp_path, experiment):
+    # each malformed case below then fails on the key it overrides
+    assert main(["validate", str(write_config(tmp_path, experiment))]) == EXIT_OK
+
+
 @pytest.mark.parametrize(
-    "overrides",
+    "experiment, overrides",
     [
-        dict(experiment="weak_error", model={"id": "weak_test"}, max_paths=0),
-        dict(experiment="glioma_sweep", model={"id": "glioma"}, h_list=[0.01], trajectory_stride=0),
-        dict(paths=2.5),
-        dict(h_list=["a"]),
-        dict(seed="x"),
-        dict(slope_band=["a", 1]),
-        dict(experiment="weak_error", model={"id": "weak_test"}, ratio_band=[1.4, None]),
-        dict(experiment="weak_error", model={"id": "weak_test"}, rel_se_target="x"),
-        dict(experiment="tem_vs_tsm", model={"id": "glioma"}, h_list=[0.01], sup_ratio_max="x"),
-        dict(experiment="tem_vs_tsm", model={"id": "glioma"}, h_list=[0.01], sup_ratio_max=[0.2]),
-        dict(experiment="tem_vs_tsm", model={"id": "glioma", "x0": "a"}, h_list=[0.01]),
-        dict(experiment="tem_vs_tsm", model={"id": "glioma", "x0": math.nan}, h_list=[0.01]),
-        dict(experiment="tem_vs_tsm", model={"id": "glioma", "horizon": math.inf}, h_list=[0.01]),
-        dict(model={"id": "example1", "y0": math.inf}),
+        ("weak_error", dict(max_paths=0)),
+        ("glioma_sweep", dict(trajectory_stride=0)),
+        ("convergence_example1", dict(paths=2.5)),
+        ("convergence_example1", dict(h_list=["a"])),
+        ("convergence_example1", dict(seed="x")),
+        ("convergence_example1", dict(slope_band=["a", 1])),
+        ("weak_error", dict(ratio_band=[1.4, None])),
+        ("weak_error", dict(rel_se_target="x")),
+        ("tem_vs_tsm", dict(sup_ratio_max="x")),
+        ("tem_vs_tsm", dict(sup_ratio_max=[0.2])),
+        ("tem_vs_tsm", dict(model={"id": "glioma", "x0": "a"})),
+        ("tem_vs_tsm", dict(model={"id": "glioma", "x0": math.nan})),
+        ("tem_vs_tsm", dict(model={"id": "glioma", "horizon": math.inf})),
+        ("convergence_example1", dict(model={"id": "example1", "y0": math.inf})),
     ],
     ids=[
         "max_paths", "trajectory_stride", "paths", "h_list", "seed", "slope_band", "ratio_band",
@@ -85,10 +108,56 @@ def test_config_m_zero_exits_64(tmp_path):
         "glioma_horizon_inf", "example1_y0_inf",
     ],
 )
-def test_malformed_numeric_config_exits_64(tmp_path, overrides):
-    cfg = write_config(tmp_path, **overrides)
+def test_malformed_numeric_config_exits_64(tmp_path, experiment, overrides):
+    cfg = write_config(tmp_path, experiment, **overrides)
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     assert main(["validate", str(cfg)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides, named",
+    [
+        ("tem_vs_tsm", dict(model={"id": "example2"}, h_list=[0.01, 0.005], seeds=3), "splitting"),
+        ("weak_error", dict(model={"id": "glioma"}, h_list=[0.01]), "exact"),
+        ("glioma_sweep", dict(model={"id": "weak_test"}), "lambda0"),
+        ("glioma_sweep", dict(sweep={"lambda0": [0.2, 0.05], "lambda1": [0.08]}), "lambda1"),
+        ("glioma_sweep", dict(sweep={"lambda0": [], "lamda1": [0.08]}), "lamda1"),
+        ("glioma_sweep", dict(sweep={"lambda0": [], "lambda1": [0.08]}), "lambda0"),
+        ("glioma_sweep", dict(sweep={"lambda0": [0.2]}), "lambda1"),
+        ("glioma_sweep", dict(h_list=[0.01, 0.005]), "h_list"),
+        ("glioma_sweep", dict(model={"id": "glioma", "lambda0": 0.2}), "lambda0"),
+        ("glioma_sweep", dict(dump_trajectories="false"), "dump_trajectories"),
+        ("convergence_example1", dict(out_dir=5), "out_dir"),
+        ("convergence_example1", dict(seeds=3), "seeds"),
+        ("convergence_example2", dict(sweep={"lambda0": [0.2], "lambda1": [0.08]}), "sweep"),
+        ("weak_error", dict(paths=8), "paths"),
+        ("glioma_sweep", dict(paths=8), "paths"),
+        ("tem_vs_tsm", dict(slope_band=[0.0, 1.5]), "slope_band"),
+    ],
+    ids=[
+        "tem_vs_tsm_without_splitting", "weak_error_without_exact", "sweep_on_weak_test",
+        "sweep_point_lambda1_above_lambda0", "sweep_misspelt_key", "sweep_empty_list", "sweep_missing_lambda1",
+        "sweep_two_h", "sweep_lambda0_in_model", "dump_trajectories_str", "out_dir_int",
+        "unread_key_convergence_example1", "unread_key_convergence_example2", "unread_key_weak_error",
+        "unread_key_glioma_sweep", "unread_key_tem_vs_tsm",
+    ],
+)
+def test_config_run_would_not_simulate_exits_64(tmp_path, monkeypatch, capsys, experiment, overrides, named):
+    # both commands reject it before any path runs, and no output is written
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, experiment, **overrides)
+    assert main(["validate", str(cfg)]) == EXIT_CONFIG
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    assert named in capsys.readouterr().err
+
+
+def test_experiment_table_keys_are_config_fields():
+    fields = set(ExperimentConfig.__dataclass_fields__)
+    read = {key for experiment in EXPERIMENTS.values() for key in experiment.keys}
+    assert set(COMMON_KEYS) <= fields
+    assert read <= fields
+    assert fields - set(COMMON_KEYS) == read
 
 
 def test_unparsable_config_exits_64(tmp_path):
@@ -114,7 +183,7 @@ def test_validate_ok(tmp_path, capsys):
 
 
 def test_validate_bad_model_params(tmp_path):
-    cfg = write_config(tmp_path, model={"id": "glioma", "lambda0": 0.2, "lambda1": 0.9})
+    cfg = write_config(tmp_path, "tem_vs_tsm", model={"id": "glioma", "lambda0": 0.2, "lambda1": 0.9})
     assert main(["validate", str(cfg)]) == EXIT_CONFIG
 
 
@@ -155,19 +224,8 @@ def test_seed_flag_overrides_config(tmp_path):
 
 
 def test_glioma_sweep_runs(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        experiment="glioma_sweep",
-        model={"id": "glioma"},
-        h_list=[0.01],
-        sweep={"lambda0": [0.2], "lambda1": [0.08]},
-        dump_trajectories=True,
-        trajectory_stride=50,
-    )
-    # short horizon keeps this a smoke test
-    raw = json.loads(Path(cfg).read_text())
-    raw["model"]["horizon"] = 5.0
-    Path(cfg).write_text(json.dumps(raw))
+    # the base config's short horizon keeps this a smoke test
+    cfg = write_config(tmp_path, "glioma_sweep", dump_trajectories=True)
     assert main(["run", str(cfg)]) == EXIT_OK
     out = tmp_path / "out"
     rows = (out / "results.csv").read_text().splitlines()
@@ -182,14 +240,7 @@ def test_glioma_sweep_runs(tmp_path):
 
 
 def test_tem_vs_tsm_smoke(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        experiment="tem_vs_tsm",
-        model={"id": "glioma", "lambda0": 0.7, "lambda1": 0.08, "horizon": 5.0},
-        h_list=[0.01, 0.001],
-        seeds=5,
-        sup_ratio_max=1.0,
-    )
+    cfg = write_config(tmp_path, "tem_vs_tsm")
     code = main(["run", str(cfg)])
     assert code in (EXIT_OK, EXIT_BAND)
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -197,11 +248,15 @@ def test_tem_vs_tsm_smoke(tmp_path):
 
 
 def test_runtime_error_exits_1(tmp_path):
-    # the migration model has no closed-form flow, so weak-error estimation
-    # on it is a runtime failure
+    # a valid config whose run diverges: jump factors e^eta with eta of mean
+    # 1000 overflow the state (first at t ~ 0.048)
     cfg = write_config(
-        tmp_path, experiment="weak_error", model={"id": "glioma"}, h_list=[0.01]
+        tmp_path,
+        model={"id": "example1", "rate_value": 50.0, "magnitude_rate": 1e-3},
+        h_list=[0.0625, 0.03125],
+        paths=2,
     )
+    assert main(["validate", str(cfg)]) == EXIT_OK
     assert main(["run", str(cfg)]) == 1
 
 
@@ -224,33 +279,20 @@ def test_entry_point_exit_code_contract():
 
 
 def test_emit_plot_data_single_row():
-    rep = ConvergenceReport("strong_rmse")
-    rep.add(0.25, 0.1)
-    header, rows = emit_plot_data(rep)
+    header, rows = emit_plot_data([[0.25, 0.1, math.nan, 0]])
     assert header == ["log2_h", "log2_metric", "ref_slope_05", "ref_slope_1"]
     assert len(rows) == 1
     assert rows[0][1] == rows[0][2] == rows[0][3] == pytest.approx(math.log2(0.1))
 
 
 def test_emit_plot_data_half_order_line_coincides():
-    rep = ConvergenceReport("strong_rmse")
-    for h in (0.5, 0.25, 0.125):
-        rep.add(h, 0.3 * math.sqrt(h))
-    _, rows = emit_plot_data(rep)
+    _, rows = emit_plot_data([[h, 0.3 * math.sqrt(h)] for h in (0.5, 0.25, 0.125)])
     for row in rows:
         assert row[1] == pytest.approx(row[2], abs=1e-12)
 
 
 def test_weak_error_cli_smoke(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        experiment="weak_error",
-        model={"id": "weak_test"},
-        h_list=[0.25, 0.125],
-        max_paths=3000,
-        rel_se_target=0.5,
-        ratio_band=[0.1, 40.0],
-    )
+    cfg = write_config(tmp_path, "weak_error")
     code = main(["run", str(cfg)])
     assert code in (EXIT_OK, EXIT_BAND)
     rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
