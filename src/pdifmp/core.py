@@ -210,8 +210,9 @@ def validate_model(model: PDifMPModel, probe_states: Sequence[HybridState]) -> V
     """Check a model's standing assumptions at a set of probe states.
 
     Violations are collected into the report rather than raised: rate above
-    its bound, malformed cumulative kernel weights, self-jump mass, and
-    impure rate evaluations.
+    its bound, malformed cumulative kernel weights, weights over another
+    number of modes than the model's, self-jump mass, and impure rate
+    evaluations.
     """
     if not probe_states:
         raise ValueError("probe_states must be nonempty")
@@ -234,9 +235,12 @@ def validate_model(model: PDifMPModel, probe_states: Sequence[HybridState]) -> V
         if float(model.rate(state.y, state.v)) != rate:
             report.add(state, "purity", "rate returned different values for identical inputs")
         try:
-            cumulative_weights(model.kernel, state)
+            a = cumulative_weights(model.kernel, state)
         except ModelDefinitionError as exc:
             report.add(state, "kernel", str(exc))
+            continue
+        if len(a) != len(model.modes) + 1:
+            report.add(state, "kernel", f"weights cover {len(a) - 1} modes; the model has {len(model.modes)}")
     return report
 
 

@@ -16,6 +16,12 @@ integrator over the plan, applies the thinning test and the jumps, and
 records the trajectory.  The two sides of a coupled pair run the side loop
 one after the other over one materialised plan.
 
+A path records its start and, on each segment, the cells that
+``_recorded_cells`` names, at the segment's grid points.  Segments are
+stepped in blocks of cells, each turned into one array that gives the
+recorded rows and counts the hint excursions of every cell.  At stride
+None a model without a hint runs whole segments through ``run_cells``.
+
 Randomness consumption per path (see drivers): proposal waiting times in
 order; the acceptance uniform for proposal ``k`` at index ``k``; kernel
 uniforms in per-proposal pairs (mode, magnitude); one Wiener increment per
@@ -32,23 +38,15 @@ import numpy as np
 
 from .core import HybridState, PathStats, PDifMPModel, Trajectory, _sample_mode_raw
 from .drivers import DriverStream
-from .errors import RateBoundError, RunawayRateError, SimulationDivergedError
+from .errors import ModelDefinitionError, RateBoundError, RunawayRateError, SimulationDivergedError
 
-DEFAULT_PROPOSAL_CAP = 10_000_000
+# Proposals a path may make before the plan raises RunawayRateError.
+PROPOSAL_CAP = 10_000_000
 
-
-def _count_excursions(values: np.ndarray, hint: tuple) -> list[int]:
-    # values[0] is the initial state, not a step output
-    return [
-        int(np.count_nonzero((values[1:, j] < lo) | (values[1:, j] > hi)))
-        for j, (lo, hi) in enumerate(hint)
-    ]
-
-
-# Recorded points are staged in plain lists and flushed to numpy chunks once
-# they grow past this; keeping millions of long-lived tuples alive makes the
+# Cells are stepped in blocks of at most this many, each turned into one
+# array at once: keeping millions of long-lived tuples alive makes the
 # cyclic collector rescan them and dominates long-horizon runs.
-_FLUSH_THRESHOLD = 4096
+_BLOCK = 4096
 
 
 class JumpAdaptedGrid:
@@ -93,20 +91,6 @@ def _recorded_cells(n: int, done: int, stride: int | None) -> list[int]:
     return cells
 
 
-def _grid_times(t0: float, grids: list[JumpAdaptedGrid], stride: int | None) -> np.ndarray:
-    """Recorded times of a path walked over ``grids``: the start, then the
-    recorded cell ends; segment ends are always recorded."""
-    if stride is None:
-        return np.array([t0] + [g.right for g in grids])
-    parts = [np.array([t0])]
-    done = 0
-    for g in grids:
-        pts = g.points()
-        parts.append(pts[1:] if stride == 1 else pts[_recorded_cells(g.n_cells, done, stride)])
-        done += g.n_cells
-    return np.concatenate(parts)
-
-
 def _apply_jump_transform(jump_update, y: tuple, v_new: int, u_mag: float, t: float) -> tuple:
     try:
         out = jump_update(y, v_new, u_mag)
@@ -127,7 +111,7 @@ def _check_args(h, T, stride, t0: float = 0.0) -> None:
         raise ValueError(f"stride must be a positive integer or None, got {stride!r}")
 
 
-def _plan(model: PDifMPModel, stream: DriverStream, t0: float, T: float, h: float, proposal_cap: int):
+def _plan(model: PDifMPModel, stream: DriverStream, t0: float, T: float, h: float):
     """Yield ``(k, t, grid, dws, tested)`` for proposals ``k = 1, 2, ...``.
 
     ``t`` is proposal ``k``'s time ``t0 + T*_k`` capped at the horizon,
@@ -137,7 +121,7 @@ def _plan(model: PDifMPModel, stream: DriverStream, t0: float, T: float, h: floa
     """
     bound = model.rate_bound
     t_prev = t0
-    for k in range(1, proposal_cap + 1):
+    for k in range(1, PROPOSAL_CAP + 1):
         t_star = t0 + stream.proposal_time(k, bound)
         t = t_star if t_star < T else T
         if t > t_prev:
@@ -148,7 +132,7 @@ def _plan(model: PDifMPModel, stream: DriverStream, t0: float, T: float, h: floa
         if t_star >= T:
             return
         t_prev = t
-    raise RunawayRateError(f"proposal cap {proposal_cap} exceeded; rate_bound is likely far above the rate")
+    raise RunawayRateError(f"proposal cap {PROPOSAL_CAP} exceeded; rate_bound is likely far above the rate")
 
 
 def _run_side(
@@ -158,27 +142,23 @@ def _run_side(
     state: HybridState,
     plan,
     stride: int | None,
-    times: np.ndarray | None = None,
     first_jump: bool = False,
 ) -> Trajectory:
     """Step one integrator from ``state`` over ``plan``, thinning and jumping.
 
-    ``stride`` controls interior recording as in ``simulate_path``.  The
-    recorded times are built from the grids walked unless ``times`` gives
-    them.  With ``first_jump`` the walk stops at the first accepted
-    proposal without applying its jump.
+    ``stride`` controls recording as in ``simulate_path``.  With
+    ``first_jump`` the walk stops at the first accepted proposal without
+    applying its jump.
     """
     y = state.y
     v = state.v
-    t0 = state.t
     bound = model.rate_bound
     strict = model.bound_policy == "error"
     kernel = model.kernel
+    n_modes = len(model.modes)
     jump_update = model.jump_update
     hint = model.state_space_hint
-    # at stride 1 every post-step state is recorded, so excursions are
-    # counted vectorised afterwards instead of per cell
-    exc = [0] * len(hint) if hint is not None and stride != 1 else None
+    exc = [0] * len(hint) if hint is not None else None
     step = integrator.step
     # Segments whose interior is neither recorded nor inspected can run in
     # one call; run_cells implementations perform cell-identical arithmetic.
@@ -186,10 +166,13 @@ def _run_side(
     if stride is None and hint is None:
         run_cells = getattr(integrator, "run_cells", None)
 
-    chunks: list[np.ndarray] = []
-    values: list[tuple] = [y]
-    grids: list[JumpAdaptedGrid] = []
-    jump_times: list[float] = [t0]
+    # the start and the run_cells segment ends as plain rows, the stepped
+    # segments' recorded cells as array parts
+    times: list = [state.t]
+    rows: list[tuple] = [y]
+    time_parts: list[np.ndarray] = []
+    value_parts: list[np.ndarray] = []
+    jump_times: list[float] = [state.t]
     modes: list[int] = [v]
     post_jumps: list[tuple] = []
     n_prop = 0
@@ -201,36 +184,33 @@ def _run_side(
 
     for k, t, grid, dws, tested in plan:
         if grid is not None:
+            n = grid.n_cells
             h_loc = grid.h_local
-            v_ap = values.append
             try:
                 if run_cells is not None:
                     y = run_cells(model, y, v, h_loc, dws)
-                    v_ap(y)
-                elif stride == 1:
-                    for dw in dws:
-                        y = step(model, y, v, h_loc, dw)
-                        v_ap(y)
+                    times.append(grid.right)
+                    rows.append(y)
                 else:
-                    marks = iter(_recorded_cells(grid.n_cells, n_cells, stride))
-                    mark = next(marks)
-                    for cell, dw in enumerate(dws, 1):
-                        y = step(model, y, v, h_loc, dw)
+                    # 0-based recorded cells; at stride 1 slices keep them all
+                    keep = None if stride == 1 else np.asarray(_recorded_cells(n, n_cells, stride)) - 1
+                    pts = grid.points()
+                    time_parts.append(pts[1:] if keep is None else pts[keep + 1])
+                    for start in range(0, n, _BLOCK):
+                        block = []
+                        for dw in dws[start : start + _BLOCK]:
+                            y = step(model, y, v, h_loc, dw)
+                            block.append(y)
+                        arr = np.asarray(block)
                         if exc is not None:
                             for j, (lo, hi) in enumerate(hint):
-                                c = y[j]
-                                if c < lo or c > hi:
-                                    exc[j] += 1
-                        if cell == mark:
-                            v_ap(y)
-                            mark = next(marks, 0)
+                                exc[j] += int(np.count_nonzero((arr[:, j] < lo) | (arr[:, j] > hi)))
+                        if keep is not None:
+                            arr = arr[keep[(keep >= start) & (keep < start + _BLOCK)] - start]
+                        value_parts.append(arr)
             except SimulationDivergedError as err:
                 raise SimulationDivergedError(grid.left, err.y, err.detail) from None
-            n_cells += grid.n_cells
-            grids.append(grid)
-            if len(values) >= _FLUSH_THRESHOLD:
-                chunks.append(np.asarray(values))
-                values = []
+            n_cells += n
         if not tested:
             break
         n_prop += 1
@@ -249,18 +229,14 @@ def _run_side(
                 break
             u_mode, u_mag = stream.kernel_slots(k)
             v = _sample_mode_raw(kernel, y, v, u_mode)
+            if v >= n_modes:
+                raise ModelDefinitionError(f"kernel sampled mode {v} at t={t!r}; the model has {n_modes} modes")
             if jump_update is not None:
                 y = _apply_jump_transform(jump_update, y, v, u_mag, t)
             jump_times.append(t)
             modes.append(v)
             post_jumps.append(y)
 
-    if values:
-        chunks.append(np.asarray(values))
-    values_arr = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    if hint is not None and stride == 1:
-        exc = _count_excursions(values_arr, hint)
-    dim = len(y)
     stats = PathStats(
         n_proposals=n_prop,
         n_accepted=n_acc,
@@ -270,12 +246,16 @@ def _run_side(
         rate_max=rmax if n_prop else math.nan,
         hint_excursions=tuple(exc) if exc is not None else (),
     )
+    times_arr, values_arr = np.asarray(times), np.asarray(rows)
+    if time_parts:
+        times_arr = np.concatenate([times_arr, *time_parts])
+        values_arr = np.concatenate([values_arr, *value_parts])
     return Trajectory(
-        times=_grid_times(t0, grids, stride) if times is None else times,
+        times=times_arr,
         values=values_arr,
         jump_times=np.asarray(jump_times),
         interval_modes=np.asarray(modes, dtype=np.int64),
-        post_jump_values=np.asarray(post_jumps).reshape(len(post_jumps), dim),
+        post_jump_values=np.asarray(post_jumps).reshape(len(post_jumps), len(y)),
         stats=stats,
     )
 
@@ -297,7 +277,6 @@ def next_jump(
     state: HybridState,
     h: float,
     T: float | None = None,
-    proposal_cap: int = DEFAULT_PROPOSAL_CAP,
 ) -> NextJumpResult:
     """Advance the flow to the first accepted proposal, or to the horizon.
 
@@ -309,7 +288,7 @@ def next_jump(
     """
     T = T if T is not None else model.horizon
     _check_args(h, T, 1, state.t)
-    plan = _plan(model, stream, state.t, T, h, proposal_cap)
+    plan = _plan(model, stream, state.t, T, h)
     traj = _run_side(model, integrator, stream, state, plan, 1, first_jump=True)
     return NextJumpResult(
         time=float(traj.times[-1]),
@@ -328,18 +307,19 @@ def simulate_path(
     h: float,
     T: float | None = None,
     stride: int | None = 1,
-    proposal_cap: int = DEFAULT_PROPOSAL_CAP,
 ) -> Trajectory:
     """Simulate one full path on the jump-adapted grid.
 
-    ``stride`` controls interior grid recording: 1 keeps every cell, k
-    keeps every k-th cell, None keeps only segment endpoints (proposal and
-    jump times, and the horizon); endpoints are always recorded so every
-    jump time is a grid time.
+    Records the start, every ``stride``-th cell of the path (counting
+    cells from the start) and the last cell of every segment; with
+    ``stride`` None only the segment ends (proposal and jump times, and the
+    horizon).  Segment ends are always recorded, so every jump time is a
+    grid time.  ``stats.n_cells`` and ``stats.hint_excursions`` count every
+    cell whatever the stride.
     """
     T = T if T is not None else model.horizon
     _check_args(h, T, stride)
-    plan = _plan(model, stream, 0.0, T, h, proposal_cap)
+    plan = _plan(model, stream, 0.0, T, h)
     return _run_side(model, integrator, stream, model.initial_state, plan, stride)
 
 
@@ -351,7 +331,6 @@ def simulate_coupled_pair(
     h: float,
     T: float | None = None,
     stride: int | None = 1,
-    proposal_cap: int = DEFAULT_PROPOSAL_CAP,
 ) -> tuple[Trajectory, Trajectory]:
     """Two discretisations of one model on identical stochastic drivers.
 
@@ -365,13 +344,11 @@ def simulate_coupled_pair(
     """
     T = T if T is not None else model.horizon
     _check_args(h, T, stride)
-    plan = list(_plan(model, stream, 0.0, T, h, proposal_cap))
+    plan = list(_plan(model, stream, 0.0, T, h))
     pair: list[Trajectory] = []
     for side, integrator in (("a", integrator_a), ("b", integrator_b)):
-        # recorded times depend only on the plan: side b copies side a's
-        times = pair[0].times.copy() if pair else None
         try:
-            pair.append(_run_side(model, integrator, stream, model.initial_state, plan, stride, times))
+            pair.append(_run_side(model, integrator, stream, model.initial_state, plan, stride))
         except SimulationDivergedError as err:
             raise SimulationDivergedError(
                 err.t, err.y, f"side {side}, {integrator.kind}: {err.detail}"

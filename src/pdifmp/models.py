@@ -339,6 +339,9 @@ def build_model(model_id: str, **cfg) -> BuiltModel:
         builder = _CATALOG[model_id]
     except KeyError:
         raise ConfigError(f"unknown model id {model_id!r}; known: {list_model_ids()}") from None
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"model parameter {key!r} must be finite, got {value!r}")
     try:
         return builder(**cfg)
     except ConfigError:

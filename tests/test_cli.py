@@ -101,11 +101,17 @@ def test_base_config_validates(tmp_path, experiment):
         ("tem_vs_tsm", dict(model={"id": "glioma", "x0": math.nan})),
         ("tem_vs_tsm", dict(model={"id": "glioma", "horizon": math.inf})),
         ("convergence_example1", dict(model={"id": "example1", "y0": math.inf})),
+        ("tem_vs_tsm", dict(model={"id": "glioma", "k_plus": math.nan})),
+        ("tem_vs_tsm", dict(model={"id": "glioma", "alpha": math.inf})),
+        ("weak_error", dict(model={"id": "weak_test", "mu": math.nan})),
+        ("convergence_example2", dict(model={"id": "example2", "sigma": math.nan})),
+        ("convergence_example1", dict(model={"id": "example1", "mu": math.inf})),
     ],
     ids=[
         "max_paths", "trajectory_stride", "paths", "h_list", "seed", "slope_band", "ratio_band",
         "rel_se_target", "sup_ratio_max", "sup_ratio_max_list", "glioma_x0_str", "glioma_x0_nan",
-        "glioma_horizon_inf", "example1_y0_inf",
+        "glioma_horizon_inf", "example1_y0_inf", "glioma_k_plus_nan", "glioma_alpha_inf",
+        "weak_test_mu_nan", "example2_sigma_nan", "example1_mu_inf",
     ],
 )
 def test_malformed_numeric_config_exits_64(tmp_path, experiment, overrides):
@@ -133,13 +139,14 @@ def test_malformed_numeric_config_exits_64(tmp_path, experiment, overrides):
         ("weak_error", dict(paths=8), "paths"),
         ("glioma_sweep", dict(paths=8), "paths"),
         ("tem_vs_tsm", dict(slope_band=[0.0, 1.5]), "slope_band"),
+        ("glioma_sweep", dict(sweep={"lambda0": [0.2, math.nan], "lambda1": [0.08]}), "lambda0"),
     ],
     ids=[
         "tem_vs_tsm_without_splitting", "weak_error_without_exact", "sweep_on_weak_test",
         "sweep_point_lambda1_above_lambda0", "sweep_misspelt_key", "sweep_empty_list", "sweep_missing_lambda1",
         "sweep_two_h", "sweep_lambda0_in_model", "dump_trajectories_str", "out_dir_int",
         "unread_key_convergence_example1", "unread_key_convergence_example2", "unread_key_weak_error",
-        "unread_key_glioma_sweep", "unread_key_tem_vs_tsm",
+        "unread_key_glioma_sweep", "unread_key_tem_vs_tsm", "sweep_point_lambda0_nan",
     ],
 )
 def test_config_run_would_not_simulate_exits_64(tmp_path, monkeypatch, capsys, experiment, overrides, named):

@@ -6,11 +6,14 @@ from hypothesis import given, strategies as st
 
 from pdifmp import (
     CumulativeKernel,
+    DriverStream,
+    EulerMaruyama,
     HybridState,
     ModeSet,
     PDifMPModel,
     cumulative_weights,
     sample_mode,
+    simulate_path,
     validate_model,
 )
 from pdifmp.errors import ModelDefinitionError
@@ -155,6 +158,16 @@ def test_validate_model_flags_self_jump_mass():
     report = validate_model(model, [HybridState((1.0,), 0, 0.0)])
     assert not report.passed
     assert any(i.check == "kernel" for i in report.issues)
+
+
+def test_kernel_mode_outside_mode_set_is_an_error():
+    # two modes, but every jump is sent to a third
+    model = constant_rate_model(rate=1.0, rate_bound=1.0, horizon=10.0)
+    object.__setattr__(model, "kernel", CumulativeKernel(lambda y, v: [0.0, 0.0, 0.0, 1.0]))
+    report = validate_model(model, [HybridState((1.0,), 0, 0.0)])
+    assert [(i.check, i.message) for i in report.issues] == [("kernel", "weights cover 3 modes; the model has 2")]
+    with pytest.raises(ModelDefinitionError, match="kernel sampled mode 2 at t=.*; the model has 2 modes"):
+        simulate_path(model, EulerMaruyama(), DriverStream(1, 0), h=0.1)
 
 
 def test_validate_model_requires_probes():

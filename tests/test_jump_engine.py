@@ -17,6 +17,7 @@ from pdifmp import (
     simulate_coupled_pair,
     simulate_path,
 )
+from pdifmp import jump_engine
 from pdifmp.errors import CounterOverflowError, RateBoundError, RunawayRateError
 
 from util import constant_rate_model, ks_statistic
@@ -220,10 +221,11 @@ def test_coupled_divergence_names_side_and_integrator():
         simulate_coupled_pair(calm.model, calm.em, runaway, fork_for_path(3, 1), h=0.25)
 
 
-def test_runaway_proposals_raise():
+def test_runaway_proposals_raise(monkeypatch):
+    monkeypatch.setattr(jump_engine, "PROPOSAL_CAP", 50)
     model = constant_rate_model(rate=0.0, rate_bound=1e6, horizon=1.0)
-    with pytest.raises(RunawayRateError):
-        simulate_path(model, EulerMaruyama(), fork_for_path(1, 0), h=0.1, proposal_cap=50)
+    with pytest.raises(RunawayRateError, match="proposal cap 50 exceeded"):
+        simulate_path(model, EulerMaruyama(), fork_for_path(1, 0), h=0.1)
 
 
 # -- simulate_path ----------------------------------------------------------------
@@ -314,14 +316,42 @@ def test_stride_must_be_positive_or_none():
         simulate_path(model, EulerMaruyama(), fork_for_path(1, 0), h=0.25, stride=0)
 
 
+def assert_stride_recording(built, other, h):
+    """Strides 7, 1000 and None record exactly the stride-1 rows of every
+    stride-th cell and every segment's last cell, and the same counts; the
+    two sides of a coupled pair with ``other`` record the same times."""
+    model = built.model
+    plan = jump_engine._plan(model, fork_for_path(21, 0), 0.0, model.horizon, h)
+    lengths = [grid.n_cells for _, _, grid, _, _ in plan if grid is not None]
+    assert max(lengths) > 4096
+    ends = np.cumsum([0] + lengths)
+    full = simulate_path(model, built.em, fork_for_path(21, 0), h=h, stride=1)
+    assert full.stats.hint_excursions == tuple(
+        int(np.count_nonzero((full.values[1:, j] < lo) | (full.values[1:, j] > hi)))
+        for j, (lo, hi) in enumerate(model.state_space_hint or ())
+    )
+    assert all(type(c) is int for c in full.stats.hint_excursions)
+    cells = np.arange(full.stats.n_cells + 1)
+    for stride in (7, 1000, None):
+        keep = np.isin(cells, ends) | (cells % (stride or len(cells)) == 0)
+        sparse = simulate_path(model, built.em, fork_for_path(21, 0), h=h, stride=stride)
+        assert np.array_equal(sparse.times, full.times[keep])
+        assert np.array_equal(sparse.values, full.values[keep])
+        assert sparse.stats.n_cells == full.stats.n_cells
+        assert sparse.stats.hint_excursions == full.stats.hint_excursions
+        a, b = simulate_coupled_pair(model, built.em, other, fork_for_path(21, 0), h=h, stride=stride)
+        assert np.array_equal(a.times, sparse.times) and np.array_equal(b.times, sparse.times)
+    return lengths, full
+
+
 def test_stride_recording_preserves_values():
-    built = build_model("example2", as_published=True)
-    full = simulate_path(built.model, built.em, fork_for_path(21, 0), h=1 / 256, stride=1)
-    sparse = simulate_path(built.model, built.em, fork_for_path(21, 0), h=1 / 256, stride=7)
-    for t, y in zip(sparse.times, sparse.values):
-        i = np.searchsorted(full.times, t)
-        assert full.times[i] == t
-        assert np.array_equal(full.values[i], y)
+    # segments longer than one block of stepped cells (4096); glioma has two
+    # in a row and its x leaves the hint
+    example2 = build_model("example2", as_published=True)
+    assert_stride_recording(example2, example2.exact, 2.0**-13)
+    glioma = build_model("glioma", lambda0=0.7, x0=0.9, horizon=3.0)
+    lengths, full = assert_stride_recording(glioma, glioma.splitting, 1e-4)
+    assert len(lengths) > 1 and full.stats.hint_excursions[0] > 0
 
 
 # -- coupling ---------------------------------------------------------------------

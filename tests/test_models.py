@@ -105,6 +105,21 @@ def test_counter_kernel_increments_mode():
         assert sample_mode(built.model.kernel, x, u) == 6
 
 
+@pytest.mark.parametrize(
+    "model_id, key, value",
+    [
+        ("weak_test", "mu", math.nan),
+        ("glioma", "alpha", math.inf),
+        ("glioma", "k_plus", math.nan),
+        ("example2", "sigma", math.nan),
+        ("example1", "mu", math.inf),
+    ],
+)
+def test_non_finite_parameter_is_rejected(model_id, key, value):
+    with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
+        build_model(model_id, **{key: value})
+
+
 def test_gbm_params_validation():
     with pytest.raises(ConfigError):
         build_model("example1", mu=0.0, sigma=-0.1, y0=1.0)
