@@ -32,9 +32,9 @@ substream ``s``.
   consumers of one stream agree on every index even if their
   accept/reject decisions differ.
 * ``wiener_block(n, h)`` is the next ``n`` wiener normals times
-  ``sqrt(h)``, one per grid cell in time order; blocks of consecutive
-  segments concatenate to one stream.  ``h = 0`` gives zeros and draws
-  nothing.
+  ``sqrt(h)`` as one float64 array, one per grid cell in time order;
+  blocks of consecutive segments concatenate to one stream.  ``h = 0``
+  gives zeros and draws nothing.
 
 The first three are memoised, so coupled consumers reading the same stream
 instance observe identical values at identical indices.
@@ -145,17 +145,17 @@ class DriverStream:
         cache = self._uniforms(_SUB_KERNEL, 2 * k)
         return cache[2 * k - 2], cache[2 * k - 1]
 
-    def wiener_block(self, n: int, h: float) -> list[float]:
-        """n increments for consecutive cells of width h, in grid order."""
+    def wiener_block(self, n: int, h: float) -> np.ndarray:
+        """n increments for consecutive cells of width h, in grid order, as
+        one float64 array."""
         if n < 1:
             raise ValueError(f"block size must be >= 1, got {n!r}")
         if h < 0.0:
             raise ValueError(f"step must be nonnegative, got {h!r}")
         if h == 0.0:
-            return [0.0] * n
+            return np.zeros(n)
         self.counters[_SUB_WIENER] += n
-        block = self._gens[_SUB_WIENER].standard_normal(n)
-        return (block * math.sqrt(h)).tolist()
+        return self._gens[_SUB_WIENER].standard_normal(n) * math.sqrt(h)
 
 
 def fork_for_path(seed: int, path_id: int) -> DriverStream:

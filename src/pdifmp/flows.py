@@ -1,15 +1,19 @@
 """Flow-map integrators for the continuous component between jumps.
 
-Every integrator is a per-cell step map ``(y, v, h, dW) -> y'``; composing
-steps over the jump-adapted grid yields the discrete flow.  Three kinds are
-provided: the generic Euler-Maruyama scheme, the closed-form geometric
-Brownian motion flow (exact per cell thanks to the semigroup property), and
-a Lie-Trotter splitting scheme for the two-component cell-migration system.
+Every integrator is a per-cell map ``(y, v, h, dW) -> y'`` written once, as
+a block kernel ``run_cells`` that steps a run of cells of one segment and
+appends each cell's state to a flat list; ``step`` is that kernel over one
+cell.  Composing cells over the jump-adapted grid yields the discrete flow.
+Three kinds are provided: the generic Euler-Maruyama scheme, the
+closed-form geometric Brownian motion flow (exact per cell thanks to the
+semigroup property), and a Lie-Trotter splitting scheme for the
+two-component cell-migration system.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -68,14 +72,50 @@ def em_interpolate(
     return tuple(y_i[j] + b[j] * dt + s[j] * w_partial for j in range(len(y_i)))
 
 
+def _diverged(out: list, start: int, y: tuple, what: str) -> SimulationDivergedError:
+    """The error that stepping a block's cells one at a time raises.
+
+    ``out[start:]`` holds the rows the block computed and ``y`` is its start
+    state.  In each specialised kernel a non-finite component stays
+    non-finite in later cells, so a block with a non-finite row ends in one,
+    and its first such row is where stepping would have stopped; without
+    one, the cell after the last row overflowed.
+    """
+    d = len(y)
+    for i in range(start, len(out), d):
+        row = tuple(out[i : i + d])
+        if not all(map(math.isfinite, row)):
+            return SimulationDivergedError(math.nan, row, f"{what} left the finite range")
+    if len(out) > start:
+        y = tuple(out[-d:])
+    return SimulationDivergedError(math.nan, y, f"overflow in {what}")
+
+
+class Integrator:
+    """A flow map stepped in blocks of cells.
+
+    ``run_cells(model, y, v, h, dws, out)`` steps ``y`` in mode ``v`` over
+    one cell of width ``h`` per increment in ``dws``, appends each cell's
+    components to the flat list ``out`` and returns the end state.  It
+    raises the ``SimulationDivergedError`` of the first cell that overflows
+    or leaves the finite range.  ``step`` is the same kernel over one cell.
+    """
+
+    def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
+        return self.run_cells(model, y, v, h, (dw,), [])
+
+
 @dataclass(frozen=True)
-class EulerMaruyama:
+class EulerMaruyama(Integrator):
     """Generic drift/diffusion integrator; valid for any model."""
 
     kind: ClassVar[str] = "euler_maruyama"
 
-    def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
-        return em_step(model, y, v, h, dw)
+    def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: Sequence[float], out: list) -> tuple:
+        for dw in dws:
+            y = em_step(model, y, v, h, dw)
+            out.extend(y)
+        return y
 
 
 @dataclass(frozen=True)
@@ -83,33 +123,27 @@ class GbmEulerMaruyama(EulerMaruyama):
     """Euler-Maruyama specialised to drift mu*y, diffusion sigma*y.
 
     Cell arithmetic is exactly that of the generic integrator on the same
-    model (pinned by a test); ``run_cells`` lets the engine skip per-cell
-    dispatch on segments whose interior is not recorded.
+    model (pinned by a test), without its per-cell coefficient calls.
     """
 
     mu: float = 0.0
     sigma: float = 0.0
 
-    def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
-        y0 = y[0]
-        out = y0 + self.mu * y0 * h + self.sigma * y0 * dw
-        if not math.isfinite(out):
-            raise SimulationDivergedError(math.nan, (out,), "Euler-Maruyama step left the finite range")
-        return (out,)
-
-    def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: list) -> tuple:
+    def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: Sequence[float], out: list) -> tuple:
+        start = len(out)
         y0 = y[0]
         mu = self.mu
         sigma = self.sigma
         for dw in dws:
             y0 = y0 + mu * y0 * h + sigma * y0 * dw
+            out.append(y0)
         if not math.isfinite(y0):
-            raise SimulationDivergedError(math.nan, (y0,), "Euler-Maruyama step left the finite range")
+            raise _diverged(out, start, y, "Euler-Maruyama step")
         return (y0,)
 
 
 @dataclass(frozen=True)
-class ExactGBMFlow:
+class ExactGBMFlow(Integrator):
     """Exact per-cell flow for models with drift mu*y and diffusion sigma*y.
 
     Only meaningful for the geometric Brownian motion family; model
@@ -120,27 +154,20 @@ class ExactGBMFlow:
     sigma: float
     kind: ClassVar[str] = "exact_gbm"
 
-    def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
-        try:
-            out = y[0] * math.exp((self.mu - 0.5 * self.sigma * self.sigma) * h + self.sigma * dw)
-        except OverflowError:
-            raise SimulationDivergedError(math.nan, y, "overflow in exact flow") from None
-        if not math.isfinite(out):
-            raise SimulationDivergedError(math.nan, (out,), "exact flow left the finite range")
-        return (out,)
-
-    def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: list) -> tuple:
+    def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: Sequence[float], out: list) -> tuple:
+        start = len(out)
+        exp = math.exp
         y0 = y[0]
         c = (self.mu - 0.5 * self.sigma * self.sigma) * h
         sigma = self.sigma
-        exp = math.exp
         try:
             for dw in dws:
                 y0 = y0 * exp(c + sigma * dw)
+                out.append(y0)
         except OverflowError:
-            raise SimulationDivergedError(math.nan, (y0,), "overflow in exact flow") from None
+            raise _diverged(out, start, y, "exact flow") from None
         if not math.isfinite(y0):
-            raise SimulationDivergedError(math.nan, (y0,), "exact flow left the finite range")
+            raise _diverged(out, start, y, "exact flow")
         return (y0,)
 
 
@@ -149,8 +176,8 @@ class GliomaEulerMaruyama(EulerMaruyama):
     """Euler-Maruyama with the cell-migration drift/diffusion inlined.
 
     Cell arithmetic matches the generic integrator on the built model
-    expression for expression (pinned by a test); the win is skipping the
-    per-cell closure dispatch on the hot loop.
+    expression for expression (pinned by a test), without its per-cell
+    closure calls.
     """
 
     k_plus: float = 0.0
@@ -159,27 +186,35 @@ class GliomaEulerMaruyama(EulerMaruyama):
     b: float = 0.0
     mode_values: tuple = ()
 
-    def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
+    def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: Sequence[float], out: list) -> tuple:
+        start = len(out)
+        exp = math.exp
         x, z = y
         vel = self.mode_values[v]
         kp = self.k_plus
         km = self.k_minus
+        kpkm = kp * km
+        a = self.a
+        b = self.b
         try:
-            e = math.exp(-x)
+            for dw in dws:
+                e = exp(-x)
+                conc = 1.0 / (1.0 + e)
+                kappa = kp * conc + km
+                dx = z * x * (0.5 * z + a - b) + vel
+                dz = -kappa * z + (kpkm / (kappa * kappa)) * vel * (e * conc * conc)
+                x, z = x + dx * h + (z * x) * dw, z + dz * h + 0.0 * dw
+                out.append(x)
+                out.append(z)
         except OverflowError:
-            raise SimulationDivergedError(math.nan, y, "overflow in Euler-Maruyama step") from None
-        conc = 1.0 / (1.0 + e)
-        kappa = kp * conc + km
-        dx = z * x * (0.5 * z + self.a - self.b) + vel
-        dz = -kappa * z + (kp * km / (kappa * kappa)) * vel * (e * conc * conc)
-        out = (x + dx * h + (z * x) * dw, z + dz * h + 0.0 * dw)
-        if not (math.isfinite(out[0]) and math.isfinite(out[1])):
-            raise SimulationDivergedError(math.nan, out, "Euler-Maruyama step left the finite range")
-        return out
+            raise _diverged(out, start, y, "Euler-Maruyama step") from None
+        if not (math.isfinite(x) and math.isfinite(z)):
+            raise _diverged(out, start, y, "Euler-Maruyama step")
+        return (x, z)
 
 
 @dataclass(frozen=True)
-class GliomaSplitting:
+class GliomaSplitting(Integrator):
     """Lie-Trotter splitting for the cell-migration system only.
 
     One cell composes, in order, the position subflows (constant-coefficient
@@ -191,30 +226,38 @@ class GliomaSplitting:
     params: object
     kind: ClassVar[str] = "glioma_splitting"
 
-    def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
+    def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: Sequence[float], out: list) -> tuple:
+        start = len(out)
+        exp = math.exp
+        expm1 = math.expm1
         p = self.params
         x, z = y
         vel = model.modes.values[v]
         kp = p.k_plus
         km = p.k_minus
-        # phi1 inlined: this step is on the hot path
+        kpkm = kp * km
+        h_ab = h * (p.a - p.b)
+        # phi1 inlined: this loop is on the hot path
         try:
-            xi = h * (p.a - p.b) * z
-            phi = math.expm1(xi) / xi if abs(xi) > _PHI1_SERIES_CUTOFF else (
-                1.0 + xi * (0.5 + xi * (1.0 / 6.0 + xi * (1.0 / 24.0 + xi / 120.0)))
-            )
-            x_new = math.exp(z * dw) * (math.exp(xi) * x + phi * h * vel)
+            for dw in dws:
+                xi = h_ab * z
+                phi = expm1(xi) / xi if abs(xi) > _PHI1_SERIES_CUTOFF else (
+                    1.0 + xi * (0.5 + xi * (1.0 / 6.0 + xi * (1.0 / 24.0 + xi / 120.0)))
+                )
+                x = exp(z * dw) * (exp(xi) * x + phi * h * vel)
 
-            e = math.exp(-x_new)
-            conc = 1.0 / (1.0 + e)
-            kappa = kp * conc + km
-            eta = -h * kappa
-            phi2 = math.expm1(eta) / eta if abs(eta) > _PHI1_SERIES_CUTOFF else (
-                1.0 + eta * (0.5 + eta * (1.0 / 6.0 + eta * (1.0 / 24.0 + eta / 120.0)))
-            )
-            z_new = math.exp(eta) * z + phi2 * h * (kp * km / (kappa * kappa)) * vel * (e * conc * conc)
+                e = exp(-x)
+                conc = 1.0 / (1.0 + e)
+                kappa = kp * conc + km
+                eta = -h * kappa
+                phi2 = expm1(eta) / eta if abs(eta) > _PHI1_SERIES_CUTOFF else (
+                    1.0 + eta * (0.5 + eta * (1.0 / 6.0 + eta * (1.0 / 24.0 + eta / 120.0)))
+                )
+                z = exp(eta) * z + phi2 * h * (kpkm / (kappa * kappa)) * vel * (e * conc * conc)
+                out.append(x)
+                out.append(z)
         except OverflowError:
-            raise SimulationDivergedError(math.nan, y, "overflow in splitting step") from None
-        if not (math.isfinite(x_new) and math.isfinite(z_new)):
-            raise SimulationDivergedError(math.nan, (x_new, z_new), "splitting step left the finite range")
-        return (x_new, z_new)
+            raise _diverged(out, start, y, "splitting step") from None
+        if not (math.isfinite(x) and math.isfinite(z)):
+            raise _diverged(out, start, y, "splitting step")
+        return (x, z)

@@ -17,10 +17,11 @@ records the trajectory.  The two sides of a coupled pair run the side loop
 one after the other over one materialised plan.
 
 A path records its start and, on each segment, the cells that
-``_recorded_cells`` names, at the segment's grid points.  Segments are
-stepped in blocks of cells, each turned into one array that gives the
+``_recorded_cells`` names, at the segment's grid points.  Every segment is
+stepped through the integrator's ``run_cells``, one call per block of at
+most ``_BLOCK`` cells; each block's rows become one array that gives the
 recorded rows and counts the hint excursions of every cell.  At stride
-None a model without a hint runs whole segments through ``run_cells``.
+None a model without a hint keeps only each segment's end state.
 
 Randomness consumption per path (see drivers): proposal waiting times in
 order; the acceptance uniform for proposal ``k`` at index ``k``; kernel
@@ -43,9 +44,9 @@ from .errors import ModelDefinitionError, RateBoundError, RunawayRateError, Simu
 # Proposals a path may make before the plan raises RunawayRateError.
 PROPOSAL_CAP = 10_000_000
 
-# Cells are stepped in blocks of at most this many, each turned into one
-# array at once: keeping millions of long-lived tuples alive makes the
-# cyclic collector rescan them and dominates long-horizon runs.
+# Cells are stepped in blocks of at most this many: a block's Wiener
+# increments become a Python list and its rows one array at once, so a long
+# segment never holds more than one block of Python floats.
 _BLOCK = 4096
 
 
@@ -159,14 +160,13 @@ def _run_side(
     jump_update = model.jump_update
     hint = model.state_space_hint
     exc = [0] * len(hint) if hint is not None else None
-    step = integrator.step
-    # Segments whose interior is neither recorded nor inspected can run in
-    # one call; run_cells implementations perform cell-identical arithmetic.
-    run_cells = None
-    if stride is None and hint is None:
-        run_cells = getattr(integrator, "run_cells", None)
+    run_cells = integrator.run_cells
+    d = len(y)
+    # with nothing inside a segment recorded or inspected, only its end
+    # state is kept
+    end_only = stride is None and exc is None
 
-    # the start and the run_cells segment ends as plain rows, the stepped
+    # the start and the end-only segment ends as plain rows, the other
     # segments' recorded cells as array parts
     times: list = [state.t]
     rows: list[tuple] = [y]
@@ -186,30 +186,31 @@ def _run_side(
         if grid is not None:
             n = grid.n_cells
             h_loc = grid.h_local
+            if not end_only:
+                # 0-based recorded cells; at stride 1 slices keep them all
+                keep = None if stride == 1 else np.asarray(_recorded_cells(n, n_cells, stride)) - 1
+                pts = grid.points()
+                time_parts.append(pts[1:] if keep is None else pts[keep + 1])
             try:
-                if run_cells is not None:
-                    y = run_cells(model, y, v, h_loc, dws)
-                    times.append(grid.right)
-                    rows.append(y)
-                else:
-                    # 0-based recorded cells; at stride 1 slices keep them all
-                    keep = None if stride == 1 else np.asarray(_recorded_cells(n, n_cells, stride)) - 1
-                    pts = grid.points()
-                    time_parts.append(pts[1:] if keep is None else pts[keep + 1])
-                    for start in range(0, n, _BLOCK):
-                        block = []
-                        for dw in dws[start : start + _BLOCK]:
-                            y = step(model, y, v, h_loc, dw)
-                            block.append(y)
-                        arr = np.asarray(block)
-                        if exc is not None:
-                            for j, (lo, hi) in enumerate(hint):
-                                exc[j] += int(np.count_nonzero((arr[:, j] < lo) | (arr[:, j] > hi)))
-                        if keep is not None:
-                            arr = arr[keep[(keep >= start) & (keep < start + _BLOCK)] - start]
-                        value_parts.append(arr)
+                # a segment of one block, the common case, skips the split
+                blocks = ((0, dws),) if n <= _BLOCK else ((s, dws[s : s + _BLOCK]) for s in range(0, n, _BLOCK))
+                for start, cells in blocks:
+                    out: list[float] = []
+                    y = run_cells(model, y, v, h_loc, cells.tolist(), out)
+                    if end_only:
+                        continue
+                    arr = np.array(out).reshape(-1, d)
+                    if exc is not None:
+                        for j, (lo, hi) in enumerate(hint):
+                            exc[j] += int(np.count_nonzero((arr[:, j] < lo) | (arr[:, j] > hi)))
+                    if keep is not None:
+                        arr = arr[keep[(keep >= start) & (keep < start + _BLOCK)] - start]
+                    value_parts.append(arr)
             except SimulationDivergedError as err:
                 raise SimulationDivergedError(grid.left, err.y, err.detail) from None
+            if end_only:
+                times.append(grid.right)
+                rows.append(y)
             n_cells += n
         if not tested:
             break

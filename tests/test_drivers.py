@@ -70,7 +70,7 @@ def test_replay_determinism():
     assert [a.proposal_time(k, 1.5) for k in range(1, 51)] == [
         b.proposal_time(k, 1.5) for k in range(1, 51)
     ]
-    assert a.wiener_block(10, 0.1) == b.wiener_block(10, 0.1)
+    assert np.array_equal(a.wiener_block(10, 0.1), b.wiener_block(10, 0.1))
     assert [a.thinning_uniform(k) for k in range(1, 11)] == [b.thinning_uniform(k) for k in range(1, 11)]
     assert [a.kernel_slots(k) for k in range(1, 6)] == [b.kernel_slots(k) for k in range(1, 6)]
     assert a.counters == b.counters
@@ -87,7 +87,7 @@ def test_reset_matches_fresh_construction():
     reused.reset(77, 3)
     assert reused.counters == [0, 0, 0, 0]
     assert fresh.proposal_time(4, 2.5) == reused.proposal_time(4, 2.5)
-    assert fresh.wiener_block(5, 0.3) == reused.wiener_block(5, 0.3)
+    assert np.array_equal(fresh.wiener_block(5, 0.3), reused.wiener_block(5, 0.3))
     assert fresh.thinning_uniform(4) == reused.thinning_uniform(4)
     assert fresh.kernel_slots(2) == reused.kernel_slots(2)
     assert fresh.counters == reused.counters
@@ -104,15 +104,19 @@ def test_accessors_match_numpy_philox(seed, path_id):
     assert [s.thinning_uniform(k) for k in range(1, 11)] == list(philox(seed, path_id, 1).random(10))
     kernel = philox(seed, path_id, 2).random(8)
     assert [s.kernel_slots(k) for k in range(1, 5)] == [(kernel[2 * i], kernel[2 * i + 1]) for i in range(4)]
-    assert s.wiener_block(6, 0.25) == list(philox(seed, path_id, 3).standard_normal(6) * 0.5)
+    assert np.array_equal(s.wiener_block(6, 0.25), philox(seed, path_id, 3).standard_normal(6) * 0.5)
     assert s.counters == [20, 10, 8, 6]
 
 
 def test_wiener_block_edge_cases():
     s = fork_for_path(2, 0)
-    assert s.wiener_block(3, 0.0) == [0.0, 0.0, 0.0]
+    # one float64 array, as the engine slices it
+    zeros = s.wiener_block(3, 0.0)
+    assert zeros.dtype == np.float64 and zeros.tolist() == [0.0, 0.0, 0.0]
     assert s.counters[3] == 0
-    assert s.wiener_block(2, 1.0) == fork_for_path(2, 0).wiener_block(2, 1.0)
+    block = s.wiener_block(2, 1.0)
+    assert block.dtype == np.float64 and block.shape == (2,)
+    assert np.array_equal(block, fork_for_path(2, 0).wiener_block(2, 1.0))
     with pytest.raises(ValueError):
         s.wiener_block(1, -0.1)
     with pytest.raises(ValueError):
@@ -154,8 +158,8 @@ def test_wiener_block_equals_scalars():
     b = fork_for_path(6, 1)
     c = fork_for_path(6, 1)
     block = a.wiener_block(16, 0.5)
-    assert block == [b.wiener_block(1, 0.5)[0] for _ in range(16)]
-    assert block == c.wiener_block(5, 0.5) + c.wiener_block(11, 0.5)
+    assert block.tolist() == [b.wiener_block(1, 0.5)[0] for _ in range(16)]
+    assert np.array_equal(block, np.concatenate([c.wiener_block(5, 0.5), c.wiener_block(11, 0.5)]))
 
 
 def test_thinning_uniforms_pass_ks():
@@ -171,13 +175,13 @@ def test_substream_isolation():
     thinning = [plain.thinning_uniform(k) for k in range(1, 21)]
     kernel = [plain.kernel_slots(k) for k in range(1, 21)]
     proposals = [plain.proposal_time(k, 1.0) for k in range(1, 21)]
-    wiener = plain.wiener_block(20, 0.1)
+    wiener = plain.wiener_block(20, 0.1).tolist()
     mixed = fork_for_path(8, 2)
     got = ([], [], [], [])
     for k in range(1, 21):
         got[1].append(mixed.kernel_slots(k))
         got[0].append(mixed.thinning_uniform(k))
-        got[3].extend(mixed.wiener_block(1, 0.1))
+        got[3].extend(mixed.wiener_block(1, 0.1).tolist())
         got[2].append(mixed.proposal_time(k, 1.0))
     assert got == (thinning, kernel, proposals, wiener)
 

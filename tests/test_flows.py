@@ -206,24 +206,35 @@ def test_specialised_integrators_match_generic_bitwise():
             assert np.array_equal(a[0].jump_times, a[1].jump_times)
 
 
-def test_gbm_fast_segment_matches_stepping():
-    em = GbmEulerMaruyama(mu=0.05, sigma=0.2)
-    model = gbm_model(0.05, 0.2)
-    dws = fork_for_path(3, 0).wiener_block(64, 0.01)
-    y_loop = (1.0,)
-    for dw in dws:
-        y_loop = em.step(model, y_loop, 0, 0.01, dw)
-    assert em.run_cells(model, (1.0,), 0, 0.01, dws) == y_loop
+def block_cases():
+    gbm = build_model("example2", as_published=True)
+    glioma = build_model("glioma", lambda0=0.7, x0=0.9)
+    return {
+        "euler_maruyama": (glioma, EulerMaruyama(), 1e-2),
+        "gbm_em": (gbm, gbm.em, 2.0**-6),
+        "exact_gbm": (gbm, gbm.exact, 2.0**-6),
+        "glioma_em": (glioma, glioma.em, 1e-2),
+        "glioma_splitting": (glioma, glioma.splitting, 1e-2),
+    }
 
 
-def test_exact_fast_segment_matches_stepping():
-    ex = ExactGBMFlow(0.05, 0.2)
-    model = gbm_model(0.05, 0.2)
-    dws = fork_for_path(4, 0).wiener_block(64, 0.01)
-    y_loop = (1.0,)
+@pytest.mark.parametrize("case", list(block_cases()))
+def test_run_cells_matches_stepping(case):
+    # one block of cells gives, bit for bit, the rows and end state of
+    # stepping the cells one at a time, appended after what `out` held
+    built, integrator, h = block_cases()[case]
+    model = built.model
+    y0, v = model.initial_state.y, 1
+    dws = fork_for_path(3, 0).wiener_block(64, h).tolist()
+    y = y0
+    rows = []
     for dw in dws:
-        y_loop = ex.step(model, y_loop, 0, 0.01, dw)
-    assert ex.run_cells(model, (1.0,), 0, 0.01, dws) == y_loop
+        y = integrator.step(model, y, v, h, dw)
+        rows.extend(y)
+    out = [-1.0]
+    assert integrator.run_cells(model, y0, v, h, dws, out) == y
+    assert out == [-1.0] + rows
+    assert len(rows) == 64 * len(y0) and all(type(c) is float for c in rows)
 
 
 def test_splitting_and_em_converge_together():

@@ -17,8 +17,10 @@ from pdifmp import (
     simulate_coupled_pair,
     simulate_path,
 )
-from pdifmp import jump_engine
+from pdifmp import GliomaSplitting, jump_engine
 from pdifmp.errors import CounterOverflowError, RateBoundError, RunawayRateError
+from pdifmp.flows import GbmEulerMaruyama, GliomaEulerMaruyama
+from pdifmp.models import GliomaParams
 
 from util import constant_rate_model, ks_statistic
 
@@ -219,6 +221,57 @@ def test_coupled_divergence_names_side_and_integrator():
     runaway = ExactGBMFlow(mu=1e6, sigma=0.0)
     with pytest.raises(SimulationDivergedError, match="side b, exact_gbm: overflow in exact flow"):
         simulate_coupled_pair(calm.model, calm.em, runaway, fork_for_path(3, 1), h=0.25)
+
+
+def divergence_cases():
+    slow = GliomaParams(a=10.2, b=0.2)
+    return {
+        "gbm_em_nonfinite": (GbmEulerMaruyama(mu=1.5e8, sigma=0.1), (1.0,), "left the finite range"),
+        "exact_nonfinite": (ExactGBMFlow(1400.0, 0.0), (1.0,), "left the finite range"),
+        "exact_overflow": (ExactGBMFlow(1.79e7, 6000.0), (1.0,), "overflow"),
+        "glioma_em_nonfinite": (
+            GliomaEulerMaruyama(k_plus=0.01, k_minus=0.01, a=0.5, b=0.2, mode_values=(0.0, 0.1)),
+            (1.0, 1e3),
+            "left the finite range",
+        ),
+        "glioma_em_overflow": (
+            GliomaEulerMaruyama(k_plus=0.01, k_minus=0.01, a=slow.a, b=slow.b, mode_values=(0.0, 0.1)),
+            (-1.0, 1.0),
+            "overflow",
+        ),
+        "splitting_nonfinite": (GliomaSplitting(GliomaParams(a=100.2, b=0.2)), (1.0, 14.0), "left the finite range"),
+        "splitting_overflow": (GliomaSplitting(slow), (-1.0, 1.0), "overflow"),
+    }
+
+
+@pytest.mark.parametrize("case", list(divergence_cases()))
+def test_block_divergence_matches_stepping(case):
+    # a path that turns non-finite, or whose exp overflows, inside a block
+    # raises what stepping its cells one at a time raises, at every stride
+    from pdifmp.errors import SimulationDivergedError
+
+    integrator, y0, kind = divergence_cases()[case]
+    model = constant_rate_model(rate=0.0, rate_bound=0.01, horizon=5.0, y0=y0)
+    h = 0.01
+    y, v = y0, 0
+    expected = None
+    for _, _, grid, dws, _ in jump_engine._plan(model, fork_for_path(2, 0), 0.0, model.horizon, h):
+        if grid is None:
+            continue
+        for i, dw in enumerate(dws.tolist()):
+            try:
+                y = integrator.step(model, y, v, grid.h_local, dw)
+            except SimulationDivergedError as err:
+                expected = repr((grid.left, err.y, err.detail))
+                assert 0 < i < grid.n_cells - 1 and kind in err.detail
+                break
+        if expected is not None:
+            break
+    assert expected is not None
+    for stride in (1, 7, None):
+        with pytest.raises(SimulationDivergedError) as info:
+            simulate_path(model, integrator, fork_for_path(2, 0), h=h, stride=stride)
+        assert repr((info.value.t, info.value.y, info.value.detail)) == expected
 
 
 def test_runaway_proposals_raise(monkeypatch):
