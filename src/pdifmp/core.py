@@ -4,8 +4,11 @@ A process is described by a characteristic triple: the flow of an SDE for
 the continuous component between jumps, a state-dependent jump rate with a
 global dominating bound, and a Markov kernel that resamples the discrete
 mode at jump times.  The mode kernel is given by cumulative weights over an
-ordered, finite mode set, which enables inverse-CDF sampling and
-distribution tests.
+ordered, finite mode set, evaluated at a continuous state ``y`` and mode
+index ``v`` (``cumulative_weights``, ``sample_mode``), which enables
+inverse-CDF sampling and distribution tests.  A model also fixes its
+simulation window: every path starts from ``initial_state`` at time 0 and
+runs to ``horizon``.
 """
 
 from __future__ import annotations
@@ -49,19 +52,16 @@ class ModeSet:
 
 @dataclass(frozen=True)
 class HybridState:
-    """Continuous position(s) plus discrete mode index at a point in time."""
+    """Continuous position(s) plus discrete mode index."""
 
     y: tuple
     v: int
-    t: float = 0.0
 
     def __post_init__(self) -> None:
         y = tuple(float(c) for c in self.y)
         object.__setattr__(self, "y", y)
         if not all(math.isfinite(c) for c in y):
             raise ValueError(f"continuous state must be finite, got {y!r}")
-        if self.t < 0.0 or not math.isfinite(self.t):
-            raise ValueError(f"time must be finite and nonnegative, got {self.t!r}")
         if self.v < 0:
             raise ValueError(f"mode index must be nonnegative, got {self.v!r}")
 
@@ -124,7 +124,13 @@ class PDifMPModel:
             raise ModelDefinitionError(f"kernel must be a CumulativeKernel, got {type(self.kernel).__name__}")
 
 
-def _cumulative_weights_raw(kernel: CumulativeKernel, y: tuple, v: int) -> list[float]:
+def cumulative_weights(kernel: CumulativeKernel, y: tuple, v: int) -> list[float]:
+    """Evaluate and validate the cumulative kernel weights in state ``(y, v)``.
+
+    Checks: a_0 = 0, nondecreasing, a_end = 1 within WEIGHT_TOL, and zero
+    increment for the current mode; a violation raises
+    ``ModelDefinitionError``.
+    """
     a = [float(w) for w in kernel.weights(y, v)]
     if len(a) < 2:
         raise ModelDefinitionError(f"weights must cover at least one mode, got {a!r}")
@@ -145,45 +151,26 @@ def _cumulative_weights_raw(kernel: CumulativeKernel, y: tuple, v: int) -> list[
     return a
 
 
-def cumulative_weights(kernel: CumulativeKernel, x: HybridState) -> list[float]:
-    """Evaluate and validate the cumulative kernel weights at state ``x``.
-
-    Checks: a_0 = 0, nondecreasing, a_end = 1 within WEIGHT_TOL, and zero
-    increment for the current mode; a violation raises
-    ``ModelDefinitionError``.
-    """
-    return _cumulative_weights_raw(kernel, x.y, x.v)
-
-
-def _sample_mode_raw(kernel: CumulativeKernel, y: tuple, v: int, u: float) -> int:
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"kernel uniform must lie in [0, 1], got {u!r}")
-    a = _cumulative_weights_raw(kernel, y, v)
-    if u == 0.0:
-        for i in range(1, len(a)):
-            if a[i] > a[i - 1]:
-                return i - 1
-        raise ModelDefinitionError("kernel has no positive-mass mode")
-    for i in range(1, len(a)):
-        if a[i - 1] < u <= a[i]:
-            return i - 1
-    # u above the last cumulative value (weights ending at 1 - eps pass the
-    # tolerance check): take the last positive-mass bin.
-    for i in range(len(a) - 1, 0, -1):
-        if a[i] > a[i - 1]:
-            return i - 1
-    raise ModelDefinitionError("kernel has no positive-mass mode")
-
-
-def sample_mode(kernel: CumulativeKernel, x: HybridState, u: float) -> int:
+def sample_mode(kernel: CumulativeKernel, y: tuple, v: int, u: float) -> int:
     """Draw the post-jump mode index for uniform ``u`` in [0, 1].
 
-    This is the inverse-CDF walk over the cumulative weights: the unique
-    ``i`` with ``a_{i-1} < u <= a_i``.  ``u = 0`` falls in no half-open bin
-    and is mapped to the first bin with positive mass (a zero-probability
-    event for a continuous uniform, handled for totality).
+    This is the inverse-CDF walk over the cumulative weights: the first
+    mode ``i`` with positive mass and ``u <= a_{i+1}``, else the last mode
+    with positive mass.  For ``u`` in ``(0, a_end]`` that is the unique
+    ``i`` with ``a_i < u <= a_{i+1}``; ``u = 0`` maps to the first mode with
+    positive mass and ``u`` above ``a_end`` (weights ending at 1 - eps pass
+    the tolerance check) to the last.
     """
-    return _sample_mode_raw(kernel, x.y, x.v, u)
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"kernel uniform must lie in [0, 1], got {u!r}")
+    a = cumulative_weights(kernel, y, v)
+    # validated weights rise from 0 to about 1, so some mode has mass
+    for i in range(1, len(a)):
+        if a[i] > a[i - 1]:
+            last = i - 1
+            if u <= a[i]:
+                break
+    return last
 
 
 @dataclass
@@ -235,7 +222,7 @@ def validate_model(model: PDifMPModel, probe_states: Sequence[HybridState]) -> V
         if float(model.rate(state.y, state.v)) != rate:
             report.add(state, "purity", "rate returned different values for identical inputs")
         try:
-            a = cumulative_weights(model.kernel, state)
+            a = cumulative_weights(model.kernel, state.y, state.v)
         except ModelDefinitionError as exc:
             report.add(state, "kernel", str(exc))
             continue

@@ -15,10 +15,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 from .core import PDifMPModel
 from .errors import SimulationDivergedError
+
+if TYPE_CHECKING:
+    from .models import GliomaParams
 
 # Below this the closed form (e^x - 1)/x loses digits to cancellation; the
 # 5-term series truncation error ~ x^5/720 is below double precision there.
@@ -98,7 +101,8 @@ class Integrator:
     one cell of width ``h`` per increment in ``dws``, appends each cell's
     components to the flat list ``out`` and returns the end state.  It
     raises the ``SimulationDivergedError`` of the first cell that overflows
-    or leaves the finite range.  ``step`` is the same kernel over one cell.
+    or leaves the finite range, with time NaN: the engine fills in the grid
+    time from ``out``.  ``step`` is the same kernel over one cell.
     """
 
     def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
@@ -126,8 +130,8 @@ class GbmEulerMaruyama(EulerMaruyama):
     model (pinned by a test), without its per-cell coefficient calls.
     """
 
-    mu: float = 0.0
-    sigma: float = 0.0
+    mu: float
+    sigma: float
 
     def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: Sequence[float], out: list) -> tuple:
         start = len(out)
@@ -175,27 +179,24 @@ class ExactGBMFlow(Integrator):
 class GliomaEulerMaruyama(EulerMaruyama):
     """Euler-Maruyama with the cell-migration drift/diffusion inlined.
 
-    Cell arithmetic matches the generic integrator on the built model
-    expression for expression (pinned by a test), without its per-cell
-    closure calls.
+    Cell arithmetic matches the generic integrator on the model built from
+    ``params`` expression for expression (pinned by a test), without its
+    per-cell closure calls.  The velocity is read from the model's modes.
     """
 
-    k_plus: float = 0.0
-    k_minus: float = 0.0
-    a: float = 0.0
-    b: float = 0.0
-    mode_values: tuple = ()
+    params: GliomaParams
 
     def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: Sequence[float], out: list) -> tuple:
         start = len(out)
         exp = math.exp
+        p = self.params
         x, z = y
-        vel = self.mode_values[v]
-        kp = self.k_plus
-        km = self.k_minus
+        vel = model.modes.values[v]
+        kp = p.k_plus
+        km = p.k_minus
         kpkm = kp * km
-        a = self.a
-        b = self.b
+        a = p.a
+        b = p.b
         try:
             for dw in dws:
                 e = exp(-x)
@@ -223,7 +224,7 @@ class GliomaSplitting(Integrator):
     its updated value.  The mode is untouched.
     """
 
-    params: object
+    params: GliomaParams
     kind: ClassVar[str] = "glioma_splitting"
 
     def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: Sequence[float], out: list) -> tuple:

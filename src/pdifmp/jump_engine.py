@@ -9,19 +9,24 @@ flow advanced to test acceptance is kept.  Between consecutive events
 ``JumpAdaptedGrid``, so the segment's right endpoint is hit exactly and two
 consumers sharing one driver stream walk identical grids.
 
-The grid never depends on the state, so a path is simulated in two parts:
-a plan (``_plan``) that yields each proposal's segment grid and Wiener
-block from the stream, and a side loop (``_run_side``) that steps one
-integrator over the plan, applies the thinning test and the jumps, and
-records the trajectory.  The two sides of a coupled pair run the side loop
-one after the other over one materialised plan.
+Every path runs from the model's initial state at time 0 to the model's
+horizon: the model is the only source of the simulation window.  The grid
+never depends on the state, so a path is simulated in two parts: a plan
+(``_plan``) that yields each proposal's segment grid and Wiener block from
+the stream, and a side loop (``_run_side``) that steps one integrator over
+the plan, applies the thinning test and the jumps, and records a
+``Trajectory``.  ``simulate_path`` runs the side loop once; the two sides
+of a coupled pair run it one after the other over one materialised plan;
+``next_jump`` runs it until the first accepted proposal.
 
 A path records its start and, on each segment, the cells that
 ``_recorded_cells`` names, at the segment's grid points.  Every segment is
 stepped through the integrator's ``run_cells``, one call per block of at
 most ``_BLOCK`` cells; each block's rows become one array that gives the
 recorded rows and counts the hint excursions of every cell.  At stride
-None a model without a hint keeps only each segment's end state.
+None a model without a hint keeps only each segment's end state.  A block
+that diverges raises ``SimulationDivergedError`` at the grid time where its
+reported state holds; that time is worked out only after the raise.
 
 Randomness consumption per path (see drivers): proposal waiting times in
 order; the acceptance uniform for proposal ``k`` at index ``k``; kernel
@@ -33,11 +38,10 @@ bitwise identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HybridState, PathStats, PDifMPModel, Trajectory, _sample_mode_raw
+from .core import PathStats, PDifMPModel, Trajectory, sample_mode
 from .drivers import DriverStream
 from .errors import ModelDefinitionError, RateBoundError, RunawayRateError, SimulationDivergedError
 
@@ -103,27 +107,45 @@ def _apply_jump_transform(jump_update, y: tuple, v_new: int, u_mag: float, t: fl
     return out
 
 
-def _check_args(h, T, stride, t0: float = 0.0) -> None:
+def _divergence_time(grid: JumpAdaptedGrid, start: int, out: list, y: tuple) -> float:
+    """Grid time at which the ``y`` of a block's divergence error holds.
+
+    The block began at cell ``start`` of ``grid`` and ``out`` holds the rows
+    it computed.  A finite ``y`` is the state the overflowing cell started
+    from, after the rows in ``out``: the cell's left end.  A non-finite
+    ``y`` is the first non-finite row of ``out``, or, if the kernel raised
+    before appending it, the row after them: the cell's right end.
+    """
+    d = len(y)
+    rows = len(out) // d
+    cell = rows
+    if not all(map(math.isfinite, y)):
+        bad = (i for i in range(rows) if not all(map(math.isfinite, out[i * d : (i + 1) * d])))
+        cell = next(bad, rows) + 1
+    return float(grid.points()[start + cell])
+
+
+def _check_args(h, stride) -> None:
     if not h > 0.0:
         raise ValueError(f"positive step size required, got {h!r}")
-    if not T > t0:
-        raise ValueError(f"horizon {T!r} must lie after the start time {t0!r}")
     if stride is not None and stride < 1:
         raise ValueError(f"stride must be a positive integer or None, got {stride!r}")
 
 
-def _plan(model: PDifMPModel, stream: DriverStream, t0: float, T: float, h: float):
+def _plan(model: PDifMPModel, stream: DriverStream, h: float):
     """Yield ``(k, t, grid, dws, tested)`` for proposals ``k = 1, 2, ...``.
 
-    ``t`` is proposal ``k``'s time ``t0 + T*_k`` capped at the horizon,
-    ``grid`` the segment from the previous event to ``t`` with its Wiener
-    block ``dws`` (both None for an empty segment), and ``tested`` whether
-    the proposal lies within the horizon.  The plan ends at the horizon.
+    ``t`` is proposal ``k``'s time ``T*_k`` capped at the model's horizon,
+    ``grid`` the segment from the previous event (0.0 at first) to ``t``
+    with its Wiener block ``dws`` (both None for an empty segment), and
+    ``tested`` whether the proposal lies within the horizon.  The plan ends
+    at the horizon.
     """
     bound = model.rate_bound
-    t_prev = t0
+    T = model.horizon
+    t_prev = 0.0
     for k in range(1, PROPOSAL_CAP + 1):
-        t_star = t0 + stream.proposal_time(k, bound)
+        t_star = stream.proposal_time(k, bound)
         t = t_star if t_star < T else T
         if t > t_prev:
             grid = JumpAdaptedGrid(t_prev, t, h)
@@ -140,19 +162,19 @@ def _run_side(
     model: PDifMPModel,
     integrator,
     stream: DriverStream,
-    state: HybridState,
     plan,
     stride: int | None,
     first_jump: bool = False,
 ) -> Trajectory:
-    """Step one integrator from ``state`` over ``plan``, thinning and jumping.
+    """Step one integrator from the model's initial state over ``plan``,
+    thinning and jumping.
 
     ``stride`` controls recording as in ``simulate_path``.  With
     ``first_jump`` the walk stops at the first accepted proposal without
     applying its jump.
     """
-    y = state.y
-    v = state.v
+    y = model.initial_state.y
+    v = model.initial_state.v
     bound = model.rate_bound
     strict = model.bound_policy == "error"
     kernel = model.kernel
@@ -168,11 +190,11 @@ def _run_side(
 
     # the start and the end-only segment ends as plain rows, the other
     # segments' recorded cells as array parts
-    times: list = [state.t]
+    times: list = [0.0]
     rows: list[tuple] = [y]
     time_parts: list[np.ndarray] = []
     value_parts: list[np.ndarray] = []
-    jump_times: list[float] = [state.t]
+    jump_times: list[float] = [0.0]
     modes: list[int] = [v]
     post_jumps: list[tuple] = []
     n_prop = 0
@@ -207,7 +229,8 @@ def _run_side(
                         arr = arr[keep[(keep >= start) & (keep < start + _BLOCK)] - start]
                     value_parts.append(arr)
             except SimulationDivergedError as err:
-                raise SimulationDivergedError(grid.left, err.y, err.detail) from None
+                t_err = _divergence_time(grid, start, out, err.y)
+                raise SimulationDivergedError(t_err, err.y, err.detail) from None
             if end_only:
                 times.append(grid.right)
                 rows.append(y)
@@ -229,7 +252,7 @@ def _run_side(
             if first_jump:
                 break
             u_mode, u_mag = stream.kernel_slots(k)
-            v = _sample_mode_raw(kernel, y, v, u_mode)
+            v = sample_mode(kernel, y, v, u_mode)
             if v >= n_modes:
                 raise ModelDefinitionError(f"kernel sampled mode {v} at t={t!r}; the model has {n_modes} modes")
             if jump_update is not None:
@@ -261,44 +284,19 @@ def _run_side(
     )
 
 
-@dataclass
-class NextJumpResult:
-    time: float
-    y: tuple
-    accepted: bool
-    grid_times: list[float]
-    grid_values: list[tuple]
-    n_proposals: int
+def next_jump(model: PDifMPModel, integrator, stream: DriverStream, h: float) -> Trajectory:
+    """Advance the flow from the model's initial state to its first
+    accepted proposal, or to the horizon.
 
-
-def next_jump(
-    model: PDifMPModel,
-    integrator,
-    stream: DriverStream,
-    state: HybridState,
-    h: float,
-    T: float | None = None,
-) -> NextJumpResult:
-    """Advance the flow to the first accepted proposal, or to the horizon.
-
-    Proposal ``k`` lies at ``state.t + T*_k``, where ``T*_k`` are the
-    stream's indexed proposal times, and is tested with the stream's
-    ``k``-th acceptance uniform; use a fresh stream per call, as for
-    ``simulate_path``.  Rejected proposals still advance the flow and appear
-    in the returned grid samples.  The jump itself is not applied.
+    Proposal ``k`` lies at the stream's ``k``-th indexed proposal time and
+    is tested with its ``k``-th acceptance uniform; use a fresh stream per
+    call, as for ``simulate_path``.  The trajectory records every cell,
+    rejected proposals included, and ends at the first accepted proposal
+    with ``stats.n_accepted == 1`` and the jump not applied, or at the
+    horizon with ``stats.n_accepted == 0``.
     """
-    T = T if T is not None else model.horizon
-    _check_args(h, T, 1, state.t)
-    plan = _plan(model, stream, state.t, T, h)
-    traj = _run_side(model, integrator, stream, state, plan, 1, first_jump=True)
-    return NextJumpResult(
-        time=float(traj.times[-1]),
-        y=tuple(traj.values[-1].tolist()),
-        accepted=traj.stats.n_accepted > 0,
-        grid_times=traj.times[1:].tolist(),
-        grid_values=[tuple(row) for row in traj.values[1:].tolist()],
-        n_proposals=traj.stats.n_proposals,
-    )
+    _check_args(h, 1)
+    return _run_side(model, integrator, stream, _plan(model, stream, h), 1, first_jump=True)
 
 
 def simulate_path(
@@ -306,10 +304,10 @@ def simulate_path(
     integrator,
     stream: DriverStream,
     h: float,
-    T: float | None = None,
     stride: int | None = 1,
 ) -> Trajectory:
-    """Simulate one full path on the jump-adapted grid.
+    """Simulate one path from the model's initial state to its horizon on
+    the jump-adapted grid.
 
     Records the start, every ``stride``-th cell of the path (counting
     cells from the start) and the last cell of every segment; with
@@ -318,10 +316,8 @@ def simulate_path(
     grid time.  ``stats.n_cells`` and ``stats.hint_excursions`` count every
     cell whatever the stride.
     """
-    T = T if T is not None else model.horizon
-    _check_args(h, T, stride)
-    plan = _plan(model, stream, 0.0, T, h)
-    return _run_side(model, integrator, stream, model.initial_state, plan, stride)
+    _check_args(h, stride)
+    return _run_side(model, integrator, stream, _plan(model, stream, h), stride)
 
 
 def simulate_coupled_pair(
@@ -330,7 +326,6 @@ def simulate_coupled_pair(
     integrator_b,
     stream: DriverStream,
     h: float,
-    T: float | None = None,
     stride: int | None = 1,
 ) -> tuple[Trajectory, Trajectory]:
     """Two discretisations of one model on identical stochastic drivers.
@@ -343,13 +338,12 @@ def simulate_coupled_pair(
     its integrator with the same stream.  A divergence error names the side
     (``a`` or ``b``) and its integrator's kind.
     """
-    T = T if T is not None else model.horizon
-    _check_args(h, T, stride)
-    plan = list(_plan(model, stream, 0.0, T, h))
+    _check_args(h, stride)
+    plan = list(_plan(model, stream, h))
     pair: list[Trajectory] = []
     for side, integrator in (("a", integrator_a), ("b", integrator_b)):
         try:
-            pair.append(_run_side(model, integrator, stream, model.initial_state, plan, stride))
+            pair.append(_run_side(model, integrator, stream, plan, stride))
         except SimulationDivergedError as err:
             raise SimulationDivergedError(
                 err.t, err.y, f"side {side}, {integrator.kind}: {err.detail}"
@@ -363,7 +357,6 @@ def simulate_batch(
     seed: int,
     n_paths: int,
     h: float,
-    T: float | None = None,
     stride: int | None = 1,
     path_offset: int = 0,
 ) -> list[Trajectory]:
@@ -376,5 +369,5 @@ def simulate_batch(
     paths = []
     for i in range(n_paths):
         stream.reset(seed, path_offset + i)
-        paths.append(simulate_path(model, integrator, stream, h=h, T=T, stride=stride))
+        paths.append(simulate_path(model, integrator, stream, h=h, stride=stride))
     return paths

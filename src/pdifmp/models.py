@@ -107,7 +107,7 @@ def _gbm_jump(name: str, params: GbmJumpParams, rate, jump_update) -> BuiltModel
         rate_bound=params.rate_bound,
         kernel=CumulativeKernel(counter_weights),
         horizon=params.horizon,
-        initial_state=HybridState((params.y0,), 0, 0.0),
+        initial_state=HybridState((params.y0,), 0),
         jump_update=jump_update,
         bound_policy="count" if params.as_published else "error",
         name=name,
@@ -300,7 +300,7 @@ def make_glioma(params: GliomaParams) -> PDifMPModel:
         rate_bound=params.resolved_lambda_star,
         kernel=CumulativeKernel(flip_weights),
         horizon=params.horizon,
-        initial_state=HybridState((params.x0, params.z0), v0, 0.0),
+        initial_state=HybridState((params.x0, params.z0), v0),
         state_space_hint=((-1.0, 1.0), (0.0, 1.0)),
         name="glioma",
     )
@@ -309,8 +309,9 @@ def make_glioma(params: GliomaParams) -> PDifMPModel:
 def _build_glioma(**cfg) -> BuiltModel:
     params = GliomaParams(**cfg)
     model = make_glioma(params)
-    em = GliomaEulerMaruyama(params.k_plus, params.k_minus, params.a, params.b, model.modes.values)
-    return BuiltModel(model=model, em=em, splitting=GliomaSplitting(params), params=params)
+    return BuiltModel(
+        model=model, em=GliomaEulerMaruyama(params), splitting=GliomaSplitting(params), params=params
+    )
 
 
 # -- catalog -------------------------------------------------------------------

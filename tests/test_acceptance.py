@@ -13,7 +13,6 @@ import pytest
 
 from pdifmp import (
     EulerMaruyama,
-    HybridState,
     build_model,
     em_interpolate,
     em_step,
@@ -85,9 +84,9 @@ def test_criterion_3_thinning_law():
     em = EulerMaruyama()
     samples = []
     for pid in range(n):
-        res = next_jump(model, em, fork_for_path(SEED, pid), model.initial_state, h=0.5)
-        assert res.accepted
-        samples.append(res.time)
+        traj = next_jump(model, em, fork_for_path(SEED, pid), h=0.5)
+        assert traj.stats.n_accepted == 1
+        samples.append(float(traj.times[-1]))
     d = ks_statistic(samples, lambda t: 1.0 - math.exp(-0.5 * t))
     mean = sum(samples) / n
     se = 2.0 / math.sqrt(n)
@@ -177,9 +176,8 @@ def test_criterion_7_invariant_suite():
     # kernel self-jump exclusion: 1e5 samples, zero self-jumps
     rng = np.random.default_rng(SEED)
     kernel = uniform3_kernel()
-    x = HybridState((0.0,), 2, 0.0)
     self_jumps = sum(
-        1 for u in rng.random(100_000) if sample_mode(kernel, x, float(u)) == 2
+        1 for u in rng.random(100_000) if sample_mode(kernel, (0.0,), 2, float(u)) == 2
     )
     details.append(f"self-jumps {self_jumps}/100000")
     assert self_jumps == 0
@@ -246,7 +244,7 @@ def test_criterion_8_glioma_sweep_smoke():
         for lam1 in (1e-1, 1e-2, 1e-3, 1e-4):
             built = build_model("glioma", lambda0=lam0, lambda1=lam1)
             traj = simulate_path(
-                built.model, built.em, fork_for_path(SEED, run), h=1e-4, T=360.0, stride=1000
+                built.model, built.em, fork_for_path(SEED, run), h=1e-4, stride=1000
             )
             run += 1
             finite = bool(np.all(np.isfinite(traj.values)))

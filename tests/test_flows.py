@@ -19,7 +19,7 @@ from pdifmp import (
     simulate_coupled_pair,
 )
 from pdifmp.errors import SimulationDivergedError
-from pdifmp.flows import GbmEulerMaruyama, GliomaEulerMaruyama
+from pdifmp.flows import _PHI1_SERIES_CUTOFF, GbmEulerMaruyama
 from pdifmp.models import GliomaParams
 
 from util import constant_rate_model
@@ -192,15 +192,44 @@ def test_splitting_step_frozen_composition():
     assert out[1] == pytest.approx(0.49999925233389144, rel=1e-13)
 
 
+def test_splitting_cell_is_the_phi1_composition():
+    # the kernel inlines phi1 for both subflows: one cell equals, bit for
+    # bit, the composition written with phi1, on states where xi = h(a-b)z
+    # and eta = -h kappa each fall on both sides of the series cutoff
+    # (h = 1e-4 puts eta below it, as in tem_vs_tsm; a small z puts xi
+    # below it).  x = 0, small z and a large speed let phi1's last bit show.
+    p = TABLE_PARAMS
+    kp, km = p.k_plus, p.k_minus
+    rng = np.random.default_rng(11)
+    exp = math.exp
+    series = {"xi": set(), "eta": set()}
+    for h in (1e-4, 1e-2):
+        for z in (0.0, 1e-3, 0.5, *rng.uniform(0.0, 1.0, 3).tolist()):
+            for x in (0.0, *rng.normal(0.0, 2.0, 4).tolist()):
+                for vel in (p.alpha, -1e3):
+                    dw = float(rng.normal(0.0, math.sqrt(h)))
+                    xi = h * (p.a - p.b) * z
+                    x1 = exp(z * dw) * (exp(xi) * x + phi1(xi) * h * vel)
+                    e = exp(-x1)
+                    conc = 1.0 / (1.0 + e)
+                    kappa = kp * conc + km
+                    eta = -h * kappa
+                    z1 = exp(eta) * z + phi1(eta) * h * (kp * km / (kappa * kappa)) * vel * (e * conc * conc)
+                    assert splitting_step((x, z), p, h, dw, vel) == (x1, z1)
+                    series["xi"].add(abs(xi) <= _PHI1_SERIES_CUTOFF)
+                    series["eta"].add(abs(eta) <= _PHI1_SERIES_CUTOFF)
+    assert series == {"xi": {True, False}, "eta": {True, False}}
+
+
 def test_specialised_integrators_match_generic_bitwise():
     # the inlined GBM and migration integrators must replay the generic
     # Euler-Maruyama route exactly
     generic = EulerMaruyama()
-    for model_id, kw in (("example2", {"as_published": True}), ("glioma", {"horizon": 3.0})):
+    for model_id, kw in (("example2", {"as_published": True, "horizon": 3.0}), ("glioma", {"horizon": 3.0})):
         built = build_model(model_id, **kw)
         for pid in range(3):
             a = simulate_coupled_pair(
-                built.model, generic, built.em, fork_for_path(17, pid), h=0.01, T=3.0
+                built.model, generic, built.em, fork_for_path(17, pid), h=0.01
             )
             assert np.array_equal(a[0].values, a[1].values)
             assert np.array_equal(a[0].jump_times, a[1].jump_times)
@@ -276,9 +305,6 @@ def test_em_initial_condition_stability():
 
 
 def test_glioma_em_integrator_requires_d2():
-    integ = GliomaEulerMaruyama(
-        k_plus=0.01, k_minus=0.01, a=0.5, b=0.2, mode_values=(-0.1, 0.1)
-    )
     built = build_model("glioma")
-    out = integ.step(built.model, (0.0, 0.5), 1, 1e-3, 0.0)
+    out = built.em.step(built.model, (0.0, 0.5), 1, 1e-3, 0.0)
     assert len(out) == 2 and all(math.isfinite(c) for c in out)

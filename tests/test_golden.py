@@ -92,16 +92,16 @@ def _traj_parts(traj):
 
 def _case_digest(name: str, coupled: bool, stride) -> str:
     model_id, overrides, h, T, other = CASES[name]
-    built = build_model(model_id, **overrides)
+    built = build_model(model_id, **overrides, horizon=T)
     second = getattr(built, other)
     parts = []
     for pid in PATHS:
         stream = fork_for_path(SEED, pid)
         if coupled:
-            a, b = simulate_coupled_pair(built.model, built.em, second, stream, h=h, T=T, stride=stride)
+            a, b = simulate_coupled_pair(built.model, built.em, second, stream, h=h, stride=stride)
             parts += _traj_parts(a) + _traj_parts(b)
         else:
-            parts += _traj_parts(simulate_path(built.model, built.em, stream, h=h, T=T, stride=stride))
+            parts += _traj_parts(simulate_path(built.model, built.em, stream, h=h, stride=stride))
         parts.append(tuple(stream.counters))
     return _digest(*parts)
 
@@ -117,14 +117,14 @@ def _next_jump_digest() -> str:
     parts = []
     for pid in range(20):
         stream = fork_for_path(SEED, pid)
-        res = next_jump(model, EulerMaruyama(), stream, model.initial_state, h=0.125)
+        traj = next_jump(model, EulerMaruyama(), stream, h=0.125)
         parts += [
-            res.time,
-            res.y,
-            res.accepted,
-            np.asarray(res.grid_times, dtype=float),
-            np.asarray(res.grid_values, dtype=float),
-            res.n_proposals,
+            float(traj.times[-1]),
+            tuple(traj.values[-1].tolist()),
+            traj.stats.n_accepted > 0,
+            traj.times[1:],
+            traj.values[1:],
+            traj.stats.n_proposals,
             tuple(stream.counters),
         ]
     return _digest(*parts)

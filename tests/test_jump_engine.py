@@ -114,7 +114,7 @@ def test_accept_raises_on_bound_violation():
     with pytest.raises(RateBoundError):
         simulate_path(model, EulerMaruyama(), fork_for_path(1, 0), h=0.125)
     with pytest.raises(RateBoundError):
-        next_jump(model, EulerMaruyama(), fork_for_path(1, 0), model.initial_state, h=0.125)
+        next_jump(model, EulerMaruyama(), fork_for_path(1, 0), h=0.125)
 
 
 def test_apply_jump_preserves_continuous_state():
@@ -129,13 +129,13 @@ def test_apply_jump_preserves_continuous_state():
     )
     jumped = 0
     for pid in range(5):
-        res = next_jump(model, EulerMaruyama(), fork_for_path(43, pid), model.initial_state, h=0.125)
+        first = next_jump(model, EulerMaruyama(), fork_for_path(43, pid), h=0.125)
         traj = simulate_path(model, EulerMaruyama(), fork_for_path(43, pid), h=0.125)
-        assert res.accepted == (traj.jump_count > 0)
-        if res.accepted:
+        assert first.stats.n_accepted == min(traj.jump_count, 1) and first.jump_count == 0
+        if first.stats.n_accepted:
             jumped += 1
-            assert traj.jump_times[1] == res.time
-            assert tuple(traj.post_jump_values[0].tolist()) == res.y
+            assert traj.jump_times[1] == first.times[-1]
+            assert np.array_equal(traj.post_jump_values[0], first.values[-1])
             assert traj.interval_modes[1] == 1
     assert jumped > 0
 
@@ -143,9 +143,9 @@ def test_apply_jump_preserves_continuous_state():
 def test_apply_jump_exponential_magnitude():
     # example1 multiplies y by exp(eta), eta = -log1p(-u) / magnitude_rate,
     # with u the magnitude uniform of the accepted proposal's kernel pair
-    built = build_model("example1", rate_value=0.5, rate_bound=1.0, magnitude_rate=0.5)
+    built = build_model("example1", rate_value=0.5, rate_bound=1.0, magnitude_rate=0.5, horizon=4.0)
     for pid in range(5):
-        traj = simulate_path(built.model, built.em, fork_for_path(47, pid), h=0.125, T=4.0)
+        traj = simulate_path(built.model, built.em, fork_for_path(47, pid), h=0.125)
         fresh = fork_for_path(47, pid)
         times = proposals_within(fresh, 1.0, 4.0)
         assert traj.jump_count > 0
@@ -165,16 +165,15 @@ def test_next_jump_zero_rate_runs_to_horizon():
         drift=lambda y, v: (0.3 * y[0],),
         horizon=2.0,
     )
-    res = next_jump(model, EulerMaruyama(), fork_for_path(1, 0), model.initial_state, h=0.125)
-    assert not res.accepted
-    assert res.time == 2.0
+    traj = next_jump(model, EulerMaruyama(), fork_for_path(1, 0), h=0.125)
+    assert traj.stats.n_accepted == 0 and traj.stats.n_proposals > 0
+    assert traj.times[-1] == 2.0
     # every rejected proposal ends a segment; the trajectory equals the pure
     # Euler flow composed over the realised cells
-    widths = np.diff(np.concatenate(([0.0], res.grid_times)))
-    assert res.grid_times[-1] == 2.0
+    widths = np.diff(traj.times)
     assert np.all(widths > 0) and np.all(widths <= 2 * 0.125)
     expected = float(np.prod(1.0 + 0.3 * widths))
-    assert res.y[0] == pytest.approx(expected, rel=1e-12)
+    assert traj.values[-1, 0] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("rate,bound", [(1.0, 1.0), (0.5, 1.0), (0.3, 2.0)])
@@ -183,9 +182,9 @@ def test_first_jump_times_are_exponential(rate, bound):
     n = 2000
     samples = []
     for pid in range(n):
-        res = next_jump(model, EulerMaruyama(), fork_for_path(97, pid), model.initial_state, h=0.5)
-        assert res.accepted
-        samples.append(res.time)
+        traj = next_jump(model, EulerMaruyama(), fork_for_path(97, pid), h=0.5)
+        assert traj.stats.n_accepted == 1
+        samples.append(float(traj.times[-1]))
     d = ks_statistic(samples, lambda t: 1.0 - math.exp(-rate * t))
     assert d < 1.36 / math.sqrt(n)
 
@@ -224,45 +223,48 @@ def test_coupled_divergence_names_side_and_integrator():
 
 
 def divergence_cases():
+    # (integrator, constant_rate_model arguments, error kind); every model
+    # runs in mode 0, whose velocity is 0 for the migration integrators,
+    # over a horizon of 5 unless given
     slow = GliomaParams(a=10.2, b=0.2)
+    nonfinite = "left the finite range"
     return {
-        "gbm_em_nonfinite": (GbmEulerMaruyama(mu=1.5e8, sigma=0.1), (1.0,), "left the finite range"),
-        "exact_nonfinite": (ExactGBMFlow(1400.0, 0.0), (1.0,), "left the finite range"),
-        "exact_overflow": (ExactGBMFlow(1.79e7, 6000.0), (1.0,), "overflow"),
-        "glioma_em_nonfinite": (
-            GliomaEulerMaruyama(k_plus=0.01, k_minus=0.01, a=0.5, b=0.2, mode_values=(0.0, 0.1)),
-            (1.0, 1e3),
-            "left the finite range",
-        ),
-        "glioma_em_overflow": (
-            GliomaEulerMaruyama(k_plus=0.01, k_minus=0.01, a=slow.a, b=slow.b, mode_values=(0.0, 0.1)),
-            (-1.0, 1.0),
-            "overflow",
-        ),
-        "splitting_nonfinite": (GliomaSplitting(GliomaParams(a=100.2, b=0.2)), (1.0, 14.0), "left the finite range"),
-        "splitting_overflow": (GliomaSplitting(slow), (-1.0, 1.0), "overflow"),
+        "generic_em_nonfinite": (EulerMaruyama(), dict(y0=(1.0,), drift=lambda y, v: (1.5e8 * y[0],)), nonfinite),
+        "generic_em_overflow": (EulerMaruyama(), dict(y0=(1.0,), drift=lambda y, v: (math.exp(y[0]),)), "overflow"),
+        "gbm_em_nonfinite": (GbmEulerMaruyama(mu=1.5e8, sigma=0.1), dict(y0=(1.0,)), nonfinite),
+        "exact_nonfinite": (ExactGBMFlow(1400.0, 0.0), dict(y0=(1.0,)), nonfinite),
+        "exact_overflow": (ExactGBMFlow(1.79e7, 6000.0), dict(y0=(1.0,)), "overflow"),
+        # one 6000-cell segment that turns non-finite in its second block
+        "exact_nonfinite_block2": (ExactGBMFlow(15.0, 0.0), dict(y0=(1.0,), horizon=60.0), nonfinite),
+        "glioma_em_nonfinite": (GliomaEulerMaruyama(GliomaParams()), dict(y0=(1.0, 1e3)), nonfinite),
+        "glioma_em_overflow": (GliomaEulerMaruyama(slow), dict(y0=(-1.0, 1.0)), "overflow"),
+        "splitting_nonfinite": (GliomaSplitting(GliomaParams(a=100.2, b=0.2)), dict(y0=(1.0, 14.0)), nonfinite),
+        "splitting_overflow": (GliomaSplitting(slow), dict(y0=(-1.0, 1.0)), "overflow"),
     }
 
 
 @pytest.mark.parametrize("case", list(divergence_cases()))
 def test_block_divergence_matches_stepping(case):
     # a path that turns non-finite, or whose exp overflows, inside a block
-    # raises what stepping its cells one at a time raises, at every stride
+    # raises what stepping its cells one at a time raises, at every stride,
+    # at the grid time where its y holds: the failing cell's right end for a
+    # non-finite row, its left end for the state an overflow started from
     from pdifmp.errors import SimulationDivergedError
 
-    integrator, y0, kind = divergence_cases()[case]
-    model = constant_rate_model(rate=0.0, rate_bound=0.01, horizon=5.0, y0=y0)
+    integrator, spec, kind = divergence_cases()[case]
+    model = constant_rate_model(rate=0.0, rate_bound=0.01, **{"horizon": 5.0, **spec})
     h = 0.01
-    y, v = y0, 0
+    y, v = model.initial_state.y, 0
     expected = None
-    for _, _, grid, dws, _ in jump_engine._plan(model, fork_for_path(2, 0), 0.0, model.horizon, h):
+    for _, _, grid, dws, _ in jump_engine._plan(model, fork_for_path(2, 0), h):
         if grid is None:
             continue
         for i, dw in enumerate(dws.tolist()):
             try:
                 y = integrator.step(model, y, v, grid.h_local, dw)
             except SimulationDivergedError as err:
-                expected = repr((grid.left, err.y, err.detail))
+                t = grid.points()[i if kind == "overflow" else i + 1]
+                expected = repr((float(t), err.y, err.detail))
                 assert 0 < i < grid.n_cells - 1 and kind in err.detail
                 break
         if expected is not None:
@@ -272,6 +274,16 @@ def test_block_divergence_matches_stepping(case):
         with pytest.raises(SimulationDivergedError) as info:
             simulate_path(model, integrator, fork_for_path(2, 0), h=h, stride=stride)
         assert repr((info.value.t, info.value.y, info.value.detail)) == expected
+
+
+def test_divergence_reports_the_time_its_state_holds():
+    # a factor e^14 per cell of 0.01: inf first appears at cell 51 of 500
+    from pdifmp.errors import SimulationDivergedError
+
+    model = constant_rate_model(rate=0.0, rate_bound=0.01, horizon=5.0, y0=(1.0,))
+    with pytest.raises(SimulationDivergedError) as info:
+        simulate_path(model, ExactGBMFlow(1400.0, 0.0), DriverStream(2, 0), h=0.01)
+    assert (info.value.t, info.value.y) == (0.51, (math.inf,))
 
 
 def test_runaway_proposals_raise(monkeypatch):
@@ -374,7 +386,7 @@ def assert_stride_recording(built, other, h):
     stride-th cell and every segment's last cell, and the same counts; the
     two sides of a coupled pair with ``other`` record the same times."""
     model = built.model
-    plan = jump_engine._plan(model, fork_for_path(21, 0), 0.0, model.horizon, h)
+    plan = jump_engine._plan(model, fork_for_path(21, 0), h)
     lengths = [grid.n_cells for _, _, grid, _, _ in plan if grid is not None]
     assert max(lengths) > 4096
     ends = np.cumsum([0] + lengths)
@@ -475,16 +487,16 @@ def test_zero_noise_coupled_error_scales_linearly():
 
 def test_rate_bound_violation_raises_in_strict_mode():
     # rate(y0) = 0.5 >> declared bound 0.01: the first proposal must raise
-    built = build_model("example2", rate_bound=0.01, sigma=0.0)
+    built = build_model("example2", rate_bound=0.01, sigma=0.0, horizon=2000.0)
     with pytest.raises(RateBoundError):
-        simulate_path(built.model, built.em, fork_for_path(1, 0), h=50.0, T=2000.0)
+        simulate_path(built.model, built.em, fork_for_path(1, 0), h=50.0)
 
 
 def test_rate_bound_violation_counted_when_published_config():
     # published bound 0.001 sits far below rate(y0) = 0.5: every proposal
     # violates the bound (counted, not raised) and is accepted
-    built = build_model("example2", as_published=True, sigma=0.0)
-    traj = simulate_path(built.model, built.em, fork_for_path(1, 0), h=100.0, T=5000.0)
+    built = build_model("example2", as_published=True, sigma=0.0, horizon=5000.0)
+    traj = simulate_path(built.model, built.em, fork_for_path(1, 0), h=100.0)
     assert traj.stats.n_proposals > 0
     assert traj.stats.bound_violations == traj.stats.n_proposals
     assert traj.jump_count == traj.stats.n_proposals
@@ -506,8 +518,8 @@ def test_first_jump_law_under_thinning_matches_scipy():
     model = constant_rate_model(rate=0.5, rate_bound=1.0, horizon=200.0)
     samples = []
     for pid in range(2000):
-        res = next_jump(model, EulerMaruyama(), fork_for_path(7, pid), model.initial_state, h=0.5)
-        samples.append(res.time)
+        traj = next_jump(model, EulerMaruyama(), fork_for_path(7, pid), h=0.5)
+        samples.append(float(traj.times[-1]))
     ours = ks_statistic(samples, lambda t: 1.0 - math.exp(-0.5 * t))
     theirs = scipy_stats.kstest(samples, scipy_stats.expon(scale=2.0).cdf).statistic
     assert ours == pytest.approx(theirs, abs=1e-12)

@@ -5,7 +5,6 @@ import pytest
 
 from pdifmp import (
     GliomaParams,
-    HybridState,
     build_model,
     cumulative_weights,
     fork_for_path,
@@ -98,11 +97,10 @@ def test_example2_published_configuration():
 
 def test_counter_kernel_increments_mode():
     built = build_model("example1")
-    x = HybridState((50.0,), 5, 0.0)
-    a = cumulative_weights(built.model.kernel, x)
+    a = cumulative_weights(built.model.kernel, (50.0,), 5)
     assert a[6] == 0.0 and a[7] == 1.0
     for u in (0.01, 0.5, 1.0):
-        assert sample_mode(built.model.kernel, x, u) == 6
+        assert sample_mode(built.model.kernel, (50.0,), 5, u) == 6
 
 
 @pytest.mark.parametrize(
@@ -240,14 +238,13 @@ def test_glioma_quiescent_at_full_binding():
 
 def test_glioma_kernel_is_velocity_flip():
     built = build_model("glioma")
-    x = HybridState((0.2, 0.5), 1, 0.0)
-    assert cumulative_weights(built.model.kernel, x) == pytest.approx([0.0, 1.0, 1.0])
+    y = (0.2, 0.5)
+    assert cumulative_weights(built.model.kernel, y, 1) == pytest.approx([0.0, 1.0, 1.0])
     for u in (0.05, 0.5, 1.0):
-        assert sample_mode(built.model.kernel, x, u) == 0
-    x0 = HybridState((0.2, 0.5), 0, 0.0)
-    assert cumulative_weights(built.model.kernel, x0) == pytest.approx([0.0, 0.0, 1.0])
+        assert sample_mode(built.model.kernel, y, 1, u) == 0
+    assert cumulative_weights(built.model.kernel, y, 0) == pytest.approx([0.0, 0.0, 1.0])
     for u in (0.05, 0.5, 1.0):
-        assert sample_mode(built.model.kernel, x0, u) == 1
+        assert sample_mode(built.model.kernel, y, 0, u) == 1
 
 
 def test_glioma_kernel_honours_diffusivity_and_speeds():
@@ -256,9 +253,9 @@ def test_glioma_kernel_honours_diffusivity_and_speeds():
     built = build_model("glioma", alpha=2.0)
     values = built.model.modes.values
     assert values == (-2.0, 2.0)
-    a = cumulative_weights(built.model.kernel, HybridState((0.3, 0.5), 0, 0.0))
+    a = cumulative_weights(built.model.kernel, (0.3, 0.5), 0)
     assert a == pytest.approx([0.0, 0.0, 1.0])
-    assert values[sample_mode(built.model.kernel, HybridState((0.3, 0.5), 1, 0.0), 0.5)] == -2.0
+    assert values[sample_mode(built.model.kernel, (0.3, 0.5), 1, 0.5)] == -2.0
 
 
 def test_glioma_drift_components():

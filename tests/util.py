@@ -44,7 +44,7 @@ def constant_rate_model(
         rate_bound=rate_bound,
         kernel=flip_kernel(),
         horizon=horizon,
-        initial_state=HybridState(y0, 0, 0.0),
+        initial_state=HybridState(y0, 0),
         name="flip",
     )
 
