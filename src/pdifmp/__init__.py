@@ -22,7 +22,6 @@ from .flows import (
 from .jump_engine import (
     JumpAdaptedGrid,
     next_jump,
-    simulate_batch,
     simulate_coupled_pair,
     simulate_path,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "next_jump",
     "phi1",
     "sample_mode",
-    "simulate_batch",
     "simulate_coupled_pair",
     "simulate_path",
     "strong_rmse",

@@ -145,19 +145,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             w.writerow([_fmt(c) for c in row])
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"cannot serialise {type(obj).__name__}")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:

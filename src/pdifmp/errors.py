@@ -26,7 +26,14 @@ class RateBoundError(RuntimeError):
 
 
 class SimulationDivergedError(RuntimeError):
-    """The integrator produced a non-finite state."""
+    """A path left the finite range: ``y`` is the state reported and ``t``
+    the grid time at which it holds.
+
+    For the flow, the engine raises it at the first cell that overflows,
+    with that cell's input state at its left end, or that returns a
+    non-finite state, with that state at its right end.  A jump transform
+    raises it at the jump time.
+    """
 
     def __init__(self, t: float, y, detail: str = "") -> None:
         msg = f"non-finite state at t={t!r}: y={y!r}"

@@ -4,6 +4,8 @@ Every integrator is a per-cell map ``(y, v, h, dW) -> y'`` written once, as
 a block kernel ``run_cells`` that steps a run of cells of one segment and
 appends each cell's state to a flat list; ``step`` is that kernel over one
 cell.  Composing cells over the jump-adapted grid yields the discrete flow.
+Kernels are plain formulas: they do not check for overflow or non-finite
+states; the engine does, and locates the cell where a path diverged.
 Three kinds are provided: the generic Euler-Maruyama scheme, the
 closed-form geometric Brownian motion flow (exact per cell thanks to the
 semigroup property), and a Lie-Trotter splitting scheme for the
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
 from .core import PDifMPModel
-from .errors import SimulationDivergedError
 
 if TYPE_CHECKING:
     from .models import GliomaParams
@@ -39,16 +40,9 @@ def em_step(model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
     """One Euler-Maruyama cell: y + b(y, v) h + sigma(y, v) dW."""
     if not h > 0.0:
         raise ValueError(f"step must be positive, got {h!r}")
-    try:
-        b = model.drift(y, v)
-        s = model.diffusion(y, v)
-        out = tuple(y[j] + b[j] * h + s[j] * dw for j in range(len(y)))
-    except OverflowError:
-        raise SimulationDivergedError(math.nan, y, "overflow in Euler-Maruyama step") from None
-    for c in out:
-        if not math.isfinite(c):
-            raise SimulationDivergedError(math.nan, out, "Euler-Maruyama step left the finite range")
-    return out
+    b = model.drift(y, v)
+    s = model.diffusion(y, v)
+    return tuple(y[j] + b[j] * h + s[j] * dw for j in range(len(y)))
 
 
 def em_interpolate(
@@ -75,34 +69,16 @@ def em_interpolate(
     return tuple(y_i[j] + b[j] * dt + s[j] * w_partial for j in range(len(y_i)))
 
 
-def _diverged(out: list, start: int, y: tuple, what: str) -> SimulationDivergedError:
-    """The error that stepping a block's cells one at a time raises.
-
-    ``out[start:]`` holds the rows the block computed and ``y`` is its start
-    state.  In each specialised kernel a non-finite component stays
-    non-finite in later cells, so a block with a non-finite row ends in one,
-    and its first such row is where stepping would have stopped; without
-    one, the cell after the last row overflowed.
-    """
-    d = len(y)
-    for i in range(start, len(out), d):
-        row = tuple(out[i : i + d])
-        if not all(map(math.isfinite, row)):
-            return SimulationDivergedError(math.nan, row, f"{what} left the finite range")
-    if len(out) > start:
-        y = tuple(out[-d:])
-    return SimulationDivergedError(math.nan, y, f"overflow in {what}")
-
-
 class Integrator:
     """A flow map stepped in blocks of cells.
 
     ``run_cells(model, y, v, h, dws, out)`` steps ``y`` in mode ``v`` over
     one cell of width ``h`` per increment in ``dws``, appends each cell's
-    components to the flat list ``out`` and returns the end state.  It
-    raises the ``SimulationDivergedError`` of the first cell that overflows
-    or leaves the finite range, with time NaN: the engine fills in the grid
-    time from ``out``.  ``step`` is the same kernel over one cell.
+    components to the flat list ``out`` and returns the end state.  Kernels
+    do not check; the engine does: a cell's arithmetic may raise
+    ``OverflowError`` or return a non-finite row, and the engine treats
+    either as the path's divergence.  ``step`` is the same kernel over one
+    cell.
     """
 
     def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
@@ -116,9 +92,13 @@ class EulerMaruyama(Integrator):
     kind: ClassVar[str] = "euler_maruyama"
 
     def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: Sequence[float], out: list) -> tuple:
+        # stop at the first non-finite row: the model's coefficients only
+        # ever see finite states
         for dw in dws:
             y = em_step(model, y, v, h, dw)
             out.extend(y)
+            if not all(map(math.isfinite, y)):
+                break
         return y
 
 
@@ -134,15 +114,12 @@ class GbmEulerMaruyama(EulerMaruyama):
     sigma: float
 
     def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: Sequence[float], out: list) -> tuple:
-        start = len(out)
         y0 = y[0]
         mu = self.mu
         sigma = self.sigma
         for dw in dws:
             y0 = y0 + mu * y0 * h + sigma * y0 * dw
             out.append(y0)
-        if not math.isfinite(y0):
-            raise _diverged(out, start, y, "Euler-Maruyama step")
         return (y0,)
 
 
@@ -159,19 +136,13 @@ class ExactGBMFlow(Integrator):
     kind: ClassVar[str] = "exact_gbm"
 
     def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: Sequence[float], out: list) -> tuple:
-        start = len(out)
         exp = math.exp
         y0 = y[0]
         c = (self.mu - 0.5 * self.sigma * self.sigma) * h
         sigma = self.sigma
-        try:
-            for dw in dws:
-                y0 = y0 * exp(c + sigma * dw)
-                out.append(y0)
-        except OverflowError:
-            raise _diverged(out, start, y, "exact flow") from None
-        if not math.isfinite(y0):
-            raise _diverged(out, start, y, "exact flow")
+        for dw in dws:
+            y0 = y0 * exp(c + sigma * dw)
+            out.append(y0)
         return (y0,)
 
 
@@ -187,7 +158,6 @@ class GliomaEulerMaruyama(EulerMaruyama):
     params: GliomaParams
 
     def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: Sequence[float], out: list) -> tuple:
-        start = len(out)
         exp = math.exp
         p = self.params
         x, z = y
@@ -197,20 +167,15 @@ class GliomaEulerMaruyama(EulerMaruyama):
         kpkm = kp * km
         a = p.a
         b = p.b
-        try:
-            for dw in dws:
-                e = exp(-x)
-                conc = 1.0 / (1.0 + e)
-                kappa = kp * conc + km
-                dx = z * x * (0.5 * z + a - b) + vel
-                dz = -kappa * z + (kpkm / (kappa * kappa)) * vel * (e * conc * conc)
-                x, z = x + dx * h + (z * x) * dw, z + dz * h + 0.0 * dw
-                out.append(x)
-                out.append(z)
-        except OverflowError:
-            raise _diverged(out, start, y, "Euler-Maruyama step") from None
-        if not (math.isfinite(x) and math.isfinite(z)):
-            raise _diverged(out, start, y, "Euler-Maruyama step")
+        for dw in dws:
+            e = exp(-x)
+            conc = 1.0 / (1.0 + e)
+            kappa = kp * conc + km
+            dx = z * x * (0.5 * z + a - b) + vel
+            dz = -kappa * z + (kpkm / (kappa * kappa)) * vel * (e * conc * conc)
+            x, z = x + dx * h + (z * x) * dw, z + dz * h + 0.0 * dw
+            out.append(x)
+            out.append(z)
         return (x, z)
 
 
@@ -228,7 +193,6 @@ class GliomaSplitting(Integrator):
     kind: ClassVar[str] = "glioma_splitting"
 
     def run_cells(self, model: PDifMPModel, y: tuple, v: int, h: float, dws: Sequence[float], out: list) -> tuple:
-        start = len(out)
         exp = math.exp
         expm1 = math.expm1
         p = self.params
@@ -239,26 +203,21 @@ class GliomaSplitting(Integrator):
         kpkm = kp * km
         h_ab = h * (p.a - p.b)
         # phi1 inlined: this loop is on the hot path
-        try:
-            for dw in dws:
-                xi = h_ab * z
-                phi = expm1(xi) / xi if abs(xi) > _PHI1_SERIES_CUTOFF else (
-                    1.0 + xi * (0.5 + xi * (1.0 / 6.0 + xi * (1.0 / 24.0 + xi / 120.0)))
-                )
-                x = exp(z * dw) * (exp(xi) * x + phi * h * vel)
+        for dw in dws:
+            xi = h_ab * z
+            phi = expm1(xi) / xi if abs(xi) > _PHI1_SERIES_CUTOFF else (
+                1.0 + xi * (0.5 + xi * (1.0 / 6.0 + xi * (1.0 / 24.0 + xi / 120.0)))
+            )
+            x = exp(z * dw) * (exp(xi) * x + phi * h * vel)
 
-                e = exp(-x)
-                conc = 1.0 / (1.0 + e)
-                kappa = kp * conc + km
-                eta = -h * kappa
-                phi2 = expm1(eta) / eta if abs(eta) > _PHI1_SERIES_CUTOFF else (
-                    1.0 + eta * (0.5 + eta * (1.0 / 6.0 + eta * (1.0 / 24.0 + eta / 120.0)))
-                )
-                z = exp(eta) * z + phi2 * h * (kpkm / (kappa * kappa)) * vel * (e * conc * conc)
-                out.append(x)
-                out.append(z)
-        except OverflowError:
-            raise _diverged(out, start, y, "splitting step") from None
-        if not (math.isfinite(x) and math.isfinite(z)):
-            raise _diverged(out, start, y, "splitting step")
+            e = exp(-x)
+            conc = 1.0 / (1.0 + e)
+            kappa = kp * conc + km
+            eta = -h * kappa
+            phi2 = expm1(eta) / eta if abs(eta) > _PHI1_SERIES_CUTOFF else (
+                1.0 + eta * (0.5 + eta * (1.0 / 6.0 + eta * (1.0 / 24.0 + eta / 120.0)))
+            )
+            z = exp(eta) * z + phi2 * h * (kpkm / (kappa * kappa)) * vel * (e * conc * conc)
+            out.append(x)
+            out.append(z)
         return (x, z)

@@ -24,9 +24,14 @@ A path records its start and, on each segment, the cells that
 stepped through the integrator's ``run_cells``, one call per block of at
 most ``_BLOCK`` cells; each block's rows become one array that gives the
 recorded rows and counts the hint excursions of every cell.  At stride
-None a model without a hint keeps only each segment's end state.  A block
-that diverges raises ``SimulationDivergedError`` at the grid time where its
-reported state holds; that time is worked out only after the raise.
+None a model without a hint keeps only each segment's end state.
+
+Integrators do not check their cells; the engine decides where a path left
+the finite range.  A block whose kernel raises ``OverflowError`` or whose
+end state is not finite is stepped again from its start state, one cell at
+a time, and ``_flow_diverged`` builds the ``SimulationDivergedError`` of the
+first cell that overflows (its input state, at the cell's left end) or
+returns a non-finite row (that row, at the cell's right end).
 
 Randomness consumption per path (see drivers): proposal waiting times in
 order; the acceptance uniform for proposal ``k`` at index ``k``; kernel
@@ -107,22 +112,27 @@ def _apply_jump_transform(jump_update, y: tuple, v_new: int, u_mag: float, t: fl
     return out
 
 
-def _divergence_time(grid: JumpAdaptedGrid, start: int, out: list, y: tuple) -> float:
-    """Grid time at which the ``y`` of a block's divergence error holds.
+def _flow_diverged(
+    model: PDifMPModel, integrator, y: tuple, v: int, grid: JumpAdaptedGrid, start: int, dws: np.ndarray
+) -> SimulationDivergedError:
+    """The error of a block that overflowed or ended non-finite.
 
-    The block began at cell ``start`` of ``grid`` and ``out`` holds the rows
-    it computed.  A finite ``y`` is the state the overflowing cell started
-    from, after the rows in ``out``: the cell's left end.  A non-finite
-    ``y`` is the first non-finite row of ``out``, or, if the kernel raised
-    before appending it, the row after them: the cell's right end.
+    The block stepped ``y`` in mode ``v`` from cell ``start`` of ``grid``
+    over the increments ``dws``.  Its cells are stepped again one at a time,
+    with the same arithmetic: the first that raises ``OverflowError`` is
+    reported with the state it started from, at its left end; the first
+    that returns a non-finite row with that row, at its right end.
     """
-    d = len(y)
-    rows = len(out) // d
-    cell = rows
-    if not all(map(math.isfinite, y)):
-        bad = (i for i in range(rows) if not all(map(math.isfinite, out[i * d : (i + 1) * d])))
-        cell = next(bad, rows) + 1
-    return float(grid.points()[start + cell])
+    pts = grid.points()
+    for i, dw in enumerate(dws.tolist(), start):
+        try:
+            row = integrator.step(model, y, v, grid.h_local, dw)
+        except OverflowError:
+            return SimulationDivergedError(float(pts[i]), y, "overflow in the flow")
+        if not all(map(math.isfinite, row)):
+            return SimulationDivergedError(float(pts[i + 1]), row, "flow left the finite range")
+        y = row
+    raise AssertionError("the block diverged, but stepping its cells one at a time did not")
 
 
 def _check_args(h, stride) -> None:
@@ -213,24 +223,27 @@ def _run_side(
                 keep = None if stride == 1 else np.asarray(_recorded_cells(n, n_cells, stride)) - 1
                 pts = grid.points()
                 time_parts.append(pts[1:] if keep is None else pts[keep + 1])
-            try:
-                # a segment of one block, the common case, skips the split
-                blocks = ((0, dws),) if n <= _BLOCK else ((s, dws[s : s + _BLOCK]) for s in range(0, n, _BLOCK))
-                for start, cells in blocks:
-                    out: list[float] = []
-                    y = run_cells(model, y, v, h_loc, cells.tolist(), out)
-                    if end_only:
-                        continue
-                    arr = np.array(out).reshape(-1, d)
-                    if exc is not None:
-                        for j, (lo, hi) in enumerate(hint):
-                            exc[j] += int(np.count_nonzero((arr[:, j] < lo) | (arr[:, j] > hi)))
-                    if keep is not None:
-                        arr = arr[keep[(keep >= start) & (keep < start + _BLOCK)] - start]
-                    value_parts.append(arr)
-            except SimulationDivergedError as err:
-                t_err = _divergence_time(grid, start, out, err.y)
-                raise SimulationDivergedError(t_err, err.y, err.detail) from None
+            # a segment of one block, the common case, skips the split
+            blocks = ((0, dws),) if n <= _BLOCK else ((s, dws[s : s + _BLOCK]) for s in range(0, n, _BLOCK))
+            for start, cells in blocks:
+                out: list[float] = []
+                try:
+                    y_end = run_cells(model, y, v, h_loc, cells.tolist(), out)
+                    finite = all(map(math.isfinite, y_end))
+                except OverflowError:
+                    finite = False
+                if not finite:
+                    raise _flow_diverged(model, integrator, y, v, grid, start, cells)
+                y = y_end
+                if end_only:
+                    continue
+                arr = np.array(out).reshape(-1, d)
+                if exc is not None:
+                    for j, (lo, hi) in enumerate(hint):
+                        exc[j] += int(np.count_nonzero((arr[:, j] < lo) | (arr[:, j] > hi)))
+                if keep is not None:
+                    arr = arr[keep[(keep >= start) & (keep < start + _BLOCK)] - start]
+                value_parts.append(arr)
             if end_only:
                 times.append(grid.right)
                 rows.append(y)
@@ -349,25 +362,3 @@ def simulate_coupled_pair(
                 err.t, err.y, f"side {side}, {integrator.kind}: {err.detail}"
             ) from None
     return pair[0], pair[1]
-
-
-def simulate_batch(
-    model: PDifMPModel,
-    integrator,
-    seed: int,
-    n_paths: int,
-    h: float,
-    stride: int | None = 1,
-    path_offset: int = 0,
-) -> list[Trajectory]:
-    """Simulate ``n_paths`` independent paths, ordered by path index.
-
-    Path ``i`` uses the stream keyed by ``(seed, path_offset + i)``, re-keyed
-    in place per path.
-    """
-    stream = DriverStream(seed, path_offset)
-    paths = []
-    for i in range(n_paths):
-        stream.reset(seed, path_offset + i)
-        paths.append(simulate_path(model, integrator, stream, h=h, stride=stride))
-    return paths

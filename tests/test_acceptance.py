@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pdifmp import (
+    DriverStream,
     EulerMaruyama,
     build_model,
     em_interpolate,
@@ -22,7 +23,6 @@ from pdifmp import (
     next_jump,
     phi1,
     sample_mode,
-    simulate_batch,
     simulate_coupled_pair,
     simulate_path,
     strong_rmse,
@@ -220,17 +220,19 @@ def test_criterion_7_invariant_suite():
         )
     details.append("interpolation endpoint exact")
 
-    # replay determinism, bitwise: a batch on one re-keyed stream against
-    # each path simulated alone on a fresh fork
+    # replay determinism, bitwise: paths on one stream re-keyed per path, as
+    # the studies run them, against each path simulated alone on a fresh fork
     built = build_model("example2", as_published=True)
-    batch = simulate_batch(built.model, built.em, seed=SEED, n_paths=16, h=2.0**-6)
-    for pid, a in enumerate(batch):
+    stream = DriverStream(SEED, 0)
+    for pid in range(16):
+        stream.reset(SEED, pid)
+        a = simulate_path(built.model, built.em, stream, h=2.0**-6)
         b = simulate_path(built.model, built.em, fork_for_path(SEED, pid), h=2.0**-6)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.jump_times, b.jump_times)
         assert np.array_equal(a.interval_modes, b.interval_modes)
-    details.append("batch replay bitwise identical to fresh single paths")
+    details.append("re-keyed stream replay bitwise identical to fresh single paths")
 
     announce("criterion 7: invariant suite", True, "; ".join(details))
 

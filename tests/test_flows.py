@@ -17,6 +17,7 @@ from pdifmp import (
     fork_for_path,
     phi1,
     simulate_coupled_pair,
+    simulate_path,
 )
 from pdifmp.errors import SimulationDivergedError
 from pdifmp.flows import _PHI1_SERIES_CUTOFF, GbmEulerMaruyama
@@ -61,12 +62,20 @@ def test_em_step_rejects_nonpositive_step():
         em_step(model, (1.0,), 0, 0.0, 0.0)
 
 
-def test_em_step_detects_divergence():
-    model = constant_rate_model(
-        rate=0.0, rate_bound=1.0, drift=lambda y, v: (1e308,), diffusion=lambda y, v: (1e308,)
-    )
-    with pytest.raises(SimulationDivergedError):
-        em_step(model, (1e308,), 0, 1.0, 1.0)
+def test_generic_em_coefficients_never_see_a_nonfinite_state():
+    # the generic kernel stops at its first non-finite row, so a drift that
+    # rejects non-finite input is not called on one: the run reports the
+    # divergence at that row's cell, at every stride
+    def drift(y, v):
+        if not math.isfinite(y[0]):
+            raise ValueError(f"drift called on {y!r}")
+        return (1.5e8 * y[0],)
+
+    model = constant_rate_model(rate=0.0, rate_bound=0.01, drift=drift, horizon=5.0)
+    for stride in (1, 7, None):
+        with pytest.raises(SimulationDivergedError) as info:
+            simulate_path(model, EulerMaruyama(), fork_for_path(2, 0), h=0.01, stride=stride)
+        assert (info.value.t, info.value.y) == (0.5, (math.inf,))
 
 
 # -- em_interpolate -------------------------------------------------------------

@@ -13,7 +13,6 @@ from pdifmp import (
     build_model,
     fork_for_path,
     next_jump,
-    simulate_batch,
     simulate_coupled_pair,
     simulate_path,
 )
@@ -218,7 +217,7 @@ def test_coupled_divergence_names_side_and_integrator():
     # representable jumps: only the second side's flow overflows
     calm = build_model("example1", rate_value=1.0, magnitude_rate=1.0)
     runaway = ExactGBMFlow(mu=1e6, sigma=0.0)
-    with pytest.raises(SimulationDivergedError, match="side b, exact_gbm: overflow in exact flow"):
+    with pytest.raises(SimulationDivergedError, match="side b, exact_gbm: overflow in the flow"):
         simulate_coupled_pair(calm.model, calm.em, runaway, fork_for_path(3, 1), h=0.25)
 
 
@@ -246,9 +245,10 @@ def divergence_cases():
 @pytest.mark.parametrize("case", list(divergence_cases()))
 def test_block_divergence_matches_stepping(case):
     # a path that turns non-finite, or whose exp overflows, inside a block
-    # raises what stepping its cells one at a time raises, at every stride,
-    # at the grid time where its y holds: the failing cell's right end for a
-    # non-finite row, its left end for the state an overflow started from
+    # raises at every stride what the rule gives when its cells are stepped
+    # one at a time: the first cell that raises OverflowError is reported
+    # with its input state at its left end, the first that returns a
+    # non-finite row with that row at its right end
     from pdifmp.errors import SimulationDivergedError
 
     integrator, spec, kind = divergence_cases()[case]
@@ -259,21 +259,26 @@ def test_block_divergence_matches_stepping(case):
     for _, _, grid, dws, _ in jump_engine._plan(model, fork_for_path(2, 0), h):
         if grid is None:
             continue
+        pts = grid.points()
         for i, dw in enumerate(dws.tolist()):
             try:
-                y = integrator.step(model, y, v, grid.h_local, dw)
-            except SimulationDivergedError as err:
-                t = grid.points()[i if kind == "overflow" else i + 1]
-                expected = repr((float(t), err.y, err.detail))
-                assert 0 < i < grid.n_cells - 1 and kind in err.detail
+                row = integrator.step(model, y, v, grid.h_local, dw)
+            except OverflowError:
+                expected = (float(pts[i]), y, "overflow")
                 break
+            if not all(map(math.isfinite, row)):
+                expected = (float(pts[i + 1]), row, "left the finite range")
+                break
+            y = row
         if expected is not None:
             break
-    assert expected is not None
+    assert expected is not None and expected[2] == kind
+    assert 0 < i < grid.n_cells - 1
     for stride in (1, 7, None):
         with pytest.raises(SimulationDivergedError) as info:
             simulate_path(model, integrator, fork_for_path(2, 0), h=h, stride=stride)
-        assert repr((info.value.t, info.value.y, info.value.detail)) == expected
+        assert repr((info.value.t, info.value.y)) == repr(expected[:2])
+        assert expected[2] in info.value.detail
 
 
 def test_divergence_reports_the_time_its_state_holds():
@@ -500,17 +505,6 @@ def test_rate_bound_violation_counted_when_published_config():
     assert traj.stats.n_proposals > 0
     assert traj.stats.bound_violations == traj.stats.n_proposals
     assert traj.jump_count == traj.stats.n_proposals
-
-
-def test_simulate_batch_replays_single_paths():
-    # one re-keyed stream per batch replays each path's fresh fork bitwise
-    built = build_model("example1", rate_value=0.5)
-    batch = simulate_batch(built.model, built.em, seed=13, n_paths=12, h=0.125, path_offset=5)
-    for i, a in enumerate(batch):
-        b = simulate_path(built.model, built.em, fork_for_path(13, 5 + i), h=0.125)
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.jump_times, b.jump_times)
 
 
 def test_first_jump_law_under_thinning_matches_scipy():
