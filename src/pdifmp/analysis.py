@@ -108,9 +108,10 @@ def grow_weak_error_estimate(
             em_traj, exact_traj = simulate_coupled_pair(
                 model, em, exact_flow, stream, h=h, stride=None
             )
+            # F sees Python floats, as the engine's states are
             d = float(
-                F(tuple(em_traj.values[-1]), int(em_traj.interval_modes[-1]))
-                - F(tuple(exact_traj.values[-1]), int(exact_traj.interval_modes[-1]))
+                F(tuple(em_traj.values[-1].tolist()), int(em_traj.interval_modes[-1]))
+                - F(tuple(exact_traj.values[-1].tolist()), int(exact_traj.interval_modes[-1]))
             )
             total += d
             total_sq += d * d

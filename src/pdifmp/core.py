@@ -14,6 +14,7 @@ runs to ``horizon``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -127,18 +128,19 @@ class PDifMPModel:
 def cumulative_weights(kernel: CumulativeKernel, y: tuple, v: int) -> list[float]:
     """Evaluate and validate the cumulative kernel weights in state ``(y, v)``.
 
-    Checks: a_0 = 0, nondecreasing, a_end = 1 within WEIGHT_TOL, and zero
-    increment for the current mode; a violation raises
+    Checks: finite, a_0 = 0, nondecreasing, a_end = 1 within WEIGHT_TOL,
+    and zero increment for the current mode; a violation raises
     ``ModelDefinitionError``.
     """
-    a = [float(w) for w in kernel.weights(y, v)]
+    a = list(map(float, kernel.weights(y, v)))
     if len(a) < 2:
         raise ModelDefinitionError(f"weights must cover at least one mode, got {a!r}")
     if a[0] != 0.0:
         raise ModelDefinitionError(f"cumulative weights must start at 0, got {a[0]!r}")
-    for lo, hi in zip(a, a[1:]):
-        if hi < lo:
-            raise ModelDefinitionError(f"cumulative weights must be nondecreasing, got {a!r}")
+    # a NaN or -inf after a_0 fails this comparison chain, and +inf the end check
+    if not all(map(operator.le, a, a[1:])):
+        kind = "nondecreasing" if all(map(math.isfinite, a)) else "finite"
+        raise ModelDefinitionError(f"cumulative weights must be {kind}, got {a!r}")
     if abs(a[-1] - 1.0) > WEIGHT_TOL:
         raise ModelDefinitionError(f"cumulative weights must end at 1, got {a[-1]!r}")
     if v + 1 >= len(a):
@@ -219,7 +221,8 @@ def validate_model(model: PDifMPModel, probe_states: Sequence[HybridState]) -> V
                 "rate_bound",
                 f"rate {rate!r} exceeds declared bound {model.rate_bound!r}",
             )
-        if float(model.rate(state.y, state.v)) != rate:
+        # a NaN never equals itself, and it is already reported as a rate issue
+        if not math.isnan(rate) and float(model.rate(state.y, state.v)) != rate:
             report.add(state, "purity", "rate returned different values for identical inputs")
         try:
             a = cumulative_weights(model.kernel, state.y, state.v)

@@ -14,9 +14,11 @@ Substream ``s`` of path ``path_id`` is numpy's Philox generator keyed by
 ``(seed, (path_id << 3) | s)``, so a draw is a pure function of the seed,
 the path, the substream and the draw index: replays are bitwise identical,
 and draws from one substream never perturb another.  ``fork_for_path``
-builds four generators for a new stream; re-keying an existing stream
-with ``reset`` is several times cheaper, so loops over paths reuse one
-stream.
+builds four generators for a new stream.  Philox is counter-based, so
+``reset`` re-keys an existing stream by writing each substream's 128-bit
+key and a zero counter into its generator: about 6 us against about 80 us
+for a new stream (x86-64, Python 3.11, numpy 2.4).  Loops over paths reuse
+one stream.
 
 Draw-order contract
 -------------------
@@ -54,17 +56,17 @@ _SUB_THINNING = 1
 _SUB_KERNEL = 2
 _SUB_WIENER = 3
 
-_ZERO4 = np.zeros(4, dtype=np.uint64)
-
 
 def _state_template(substream: int) -> dict:
     # ``reset`` writes a key into this and assigns it to the bit generator,
-    # which is much cheaper than constructing Philox(key=...) per path;
-    # equality with fresh construction is pinned by a test.
+    # which is much cheaper than constructing Philox(key=...) per path.  The
+    # setter copies the values and never writes back, so the counter and
+    # buffer stay zero; it copies plain int lists faster than uint64 arrays.
+    # Equality with an independently keyed Philox is pinned by a test.
     return {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO4.copy(), "key": np.array([0, substream], dtype=np.uint64)},
-        "buffer": _ZERO4.copy(),
+        "state": {"counter": [0, 0, 0, 0], "key": [0, substream]},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -83,16 +85,15 @@ class DriverStream:
         self.reset(seed, path_id)
 
     def reset(self, seed: int, path_id: int) -> None:
-        """Re-key the stream in place; equivalent to a fresh construction
-        (the state setter copies, so the templates can be reused)."""
+        """Re-key the stream in place; equivalent to a fresh construction."""
         if not 0 <= path_id < _MAX_PATH:
             raise ValueError(f"path_id must lie in [0, 2**60), got {path_id!r}")
-        key_hi = (path_id << 3) & _MASK64
+        seed &= _MASK64
+        key_hi = path_id << 3
         for sub, (bg, st) in enumerate(zip(self._bitgens, self._states)):
-            inner = st["state"]
-            inner["counter"][:] = 0
-            inner["key"][0] = seed & _MASK64
-            inner["key"][1] = key_hi | sub
+            key = st["state"]["key"]
+            key[0] = seed
+            key[1] = key_hi | sub
             bg.state = st
         self.counters = [0, 0, 0, 0]
         self._proposal_rate: float | None = None

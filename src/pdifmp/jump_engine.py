@@ -2,7 +2,8 @@
 
 Jump times are generated by acceptance-rejection against a dominating
 homogeneous Poisson process with rate ``rate_bound``: proposal ``k`` at
-time ``T*_k`` is accepted when ``U_k * rate_bound <= rate(state)``.  Every
+time ``T*_k`` is accepted when ``U_k * rate_bound <= rate(state)``; a rate
+that is NaN or negative raises ``ModelDefinitionError``.  Every
 proposal time becomes a permanent grid point whether accepted or not; the
 flow advanced to test acceptance is kept.  Between consecutive events
 (start, proposals, horizon) the segment is subdivided into equal cells by
@@ -106,6 +107,8 @@ def _apply_jump_transform(jump_update, y: tuple, v_new: int, u_mag: float, t: fl
         out = jump_update(y, v_new, u_mag)
     except OverflowError:
         raise SimulationDivergedError(t, y, "overflow in the continuous-state jump transform") from None
+    if len(out) != len(y):
+        raise ModelDefinitionError(f"jump transform returned {out!r} at t={t!r} for the state {y!r}")
     for c in out:
         if not math.isfinite(c):
             raise SimulationDivergedError(t, out, "jump transform left the finite range")
@@ -113,18 +116,19 @@ def _apply_jump_transform(jump_update, y: tuple, v_new: int, u_mag: float, t: fl
 
 
 def _flow_diverged(
-    model: PDifMPModel, integrator, y: tuple, v: int, grid: JumpAdaptedGrid, start: int, dws: np.ndarray
+    model: PDifMPModel, integrator, y: tuple, v: int, grid: JumpAdaptedGrid, start: int, dws
 ) -> SimulationDivergedError:
     """The error of a block that overflowed or ended non-finite.
 
     The block stepped ``y`` in mode ``v`` from cell ``start`` of ``grid``
-    over the increments ``dws``.  Its cells are stepped again one at a time,
-    with the same arithmetic: the first that raises ``OverflowError`` is
-    reported with the state it started from, at its left end; the first
-    that returns a non-finite row with that row, at its right end.
+    over the increments ``dws`` (floats or an array).  Its cells are
+    stepped again one at a time, with the same arithmetic: the first that
+    raises ``OverflowError`` is reported with the state it started from, at
+    its left end; the first that returns a non-finite row with that row, at
+    its right end.
     """
     pts = grid.points()
-    for i, dw in enumerate(dws.tolist(), start):
+    for i, dw in enumerate(map(float, dws), start):
         try:
             row = integrator.step(model, y, v, grid.h_local, dw)
         except OverflowError:
@@ -150,16 +154,25 @@ def _plan(model: PDifMPModel, stream: DriverStream, h: float):
     with its Wiener block ``dws`` (both None for an empty segment), and
     ``tested`` whether the proposal lies within the horizon.  The plan ends
     at the horizon.
+
+    The segments of the path's first ``_BLOCK`` cells, all of a short path,
+    carry their increments as Python floats, so the two sides of a coupled
+    pair share one conversion; later segments carry the array, which
+    ``_run_side`` converts block by block.  A plan never holds more than
+    one block of floats.
     """
     bound = model.rate_bound
     T = model.horizon
     t_prev = 0.0
+    floats = _BLOCK
     for k in range(1, PROPOSAL_CAP + 1):
         t_star = stream.proposal_time(k, bound)
         t = t_star if t_star < T else T
         if t > t_prev:
             grid = JumpAdaptedGrid(t_prev, t, h)
-            yield k, t, grid, stream.wiener_block(grid.n_cells, grid.h_local), t_star <= T
+            dws = stream.wiener_block(grid.n_cells, grid.h_local)
+            floats -= grid.n_cells
+            yield k, t, grid, dws.tolist() if floats >= 0 else dws, t_star <= T
         else:
             yield k, t, None, None, t_star <= T
         if t_star >= T:
@@ -198,15 +211,15 @@ def _run_side(
     # state is kept
     end_only = stride is None and exc is None
 
-    # the start and the end-only segment ends as plain rows, the other
+    # the start and the end-only segment ends as flat floats, the other
     # segments' recorded cells as array parts
     times: list = [0.0]
-    rows: list[tuple] = [y]
+    flat: list[float] = list(y)
     time_parts: list[np.ndarray] = []
     value_parts: list[np.ndarray] = []
     jump_times: list[float] = [0.0]
     modes: list[int] = [v]
-    post_jumps: list[tuple] = []
+    post_jumps: list[float] = []
     n_prop = 0
     n_acc = 0
     n_cells = 0
@@ -228,7 +241,8 @@ def _run_side(
             for start, cells in blocks:
                 out: list[float] = []
                 try:
-                    y_end = run_cells(model, y, v, h_loc, cells.tolist(), out)
+                    # an array is converted inline, so no list outlives its block
+                    y_end = run_cells(model, y, v, h_loc, cells if type(cells) is list else cells.tolist(), out)
                     finite = all(map(math.isfinite, y_end))
                 except OverflowError:
                     finite = False
@@ -246,12 +260,14 @@ def _run_side(
                 value_parts.append(arr)
             if end_only:
                 times.append(grid.right)
-                rows.append(y)
+                flat += y
             n_cells += n
         if not tested:
             break
         n_prop += 1
         lam = model.rate(y, v)
+        if not lam >= 0.0:
+            raise ModelDefinitionError(f"rate {lam!r} at t={t!r}, y={y!r}, v={v} is not a nonnegative number")
         if lam < rmin:
             rmin = lam
         if lam > rmax:
@@ -272,7 +288,7 @@ def _run_side(
                 y = _apply_jump_transform(jump_update, y, v, u_mag, t)
             jump_times.append(t)
             modes.append(v)
-            post_jumps.append(y)
+            post_jumps += y
 
     stats = PathStats(
         n_proposals=n_prop,
@@ -283,7 +299,7 @@ def _run_side(
         rate_max=rmax if n_prop else math.nan,
         hint_excursions=tuple(exc) if exc is not None else (),
     )
-    times_arr, values_arr = np.asarray(times), np.asarray(rows)
+    times_arr, values_arr = np.asarray(times), np.asarray(flat).reshape(-1, d)
     if time_parts:
         times_arr = np.concatenate([times_arr, *time_parts])
         values_arr = np.concatenate([values_arr, *value_parts])
@@ -292,7 +308,7 @@ def _run_side(
         values=values_arr,
         jump_times=np.asarray(jump_times),
         interval_modes=np.asarray(modes, dtype=np.int64),
-        post_jump_values=np.asarray(post_jumps).reshape(len(post_jumps), len(y)),
+        post_jump_values=np.asarray(post_jumps).reshape(-1, d),
         stats=stats,
     )
 

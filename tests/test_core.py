@@ -66,6 +66,21 @@ def test_cumulative_weights_rejects_decreasing():
         cumulative_weights(bad, (0.0,), 0)
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [[0.0, math.nan, 1.0], [0.0, 1.0, math.nan], [0.0, math.inf, 1.0], [0.0, 1.0, math.inf]],
+    ids=["nan-inside", "nan-at-end", "inf-inside", "inf-at-end"],
+)
+def test_cumulative_weights_rejects_nonfinite(weights):
+    # with v = 1 a NaN also makes the self-mass NaN, which no tolerance
+    # check catches; sample_mode must not walk such weights
+    bad = CumulativeKernel(lambda y, v: weights)
+    with pytest.raises(ModelDefinitionError):
+        cumulative_weights(bad, (0.0,), 1)
+    with pytest.raises(ModelDefinitionError):
+        sample_mode(bad, (0.0,), 1, 0.5)
+
+
 def test_sample_mode_flip_always_other():
     y, v = (0.0,), 0
     for u in (1e-12, 0.3, 0.7, 1.0):
@@ -171,6 +186,13 @@ def test_validate_model_flags_rate_bound_violation():
     report = validate_model(model, [HybridState((1.0,), 0)])
     assert not report.passed
     assert any(i.check == "rate_bound" for i in report.issues)
+
+
+def test_validate_model_reports_nan_rate_once():
+    # a NaN rate is a rate issue; NaN != NaN must not read as impurity
+    model = constant_rate_model(rate=math.nan, rate_bound=1.0)
+    report = validate_model(model, [HybridState((1.0,), 0)])
+    assert [i.check for i in report.issues] == ["rate"]
 
 
 def test_validate_model_flags_self_jump_mass():

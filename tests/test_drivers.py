@@ -93,9 +93,8 @@ def test_reset_matches_fresh_construction():
     assert fresh.counters == reused.counters
 
 
-@pytest.mark.parametrize("seed, path_id", [(0, 0), (12345, 7), ((1 << 64) + 11, (1 << 60) - 1)])
-def test_accessors_match_numpy_philox(seed, path_id):
-    s = fork_for_path(seed, path_id)
+def assert_matches_numpy_philox(s: DriverStream, seed: int, path_id: int) -> None:
+    # every accessor of a stream keyed (seed, path_id) with nothing drawn yet
     rate = 1.5
     u = philox(seed, path_id, 0).random(20)
     assert [s.proposal_time(k, rate) for k in range(1, 21)] == list(
@@ -106,6 +105,25 @@ def test_accessors_match_numpy_philox(seed, path_id):
     assert [s.kernel_slots(k) for k in range(1, 5)] == [(kernel[2 * i], kernel[2 * i + 1]) for i in range(4)]
     assert np.array_equal(s.wiener_block(6, 0.25), philox(seed, path_id, 3).standard_normal(6) * 0.5)
     assert s.counters == [20, 10, 8, 6]
+
+
+@pytest.mark.parametrize("seed, path_id", [(0, 0), (12345, 7), ((1 << 64) + 11, (1 << 60) - 1)])
+def test_accessors_match_numpy_philox(seed, path_id):
+    assert_matches_numpy_philox(fork_for_path(seed, path_id), seed, path_id)
+
+
+def test_reset_matches_numpy_philox():
+    # re-keying a stream that has drawn from all four substreams gives the
+    # draws of an independently keyed Philox, not only those of a new stream
+    s = fork_for_path(5, 3)
+    s.proposal_time(3, 1.0)
+    s.thinning_uniform(2)
+    s.kernel_slots(2)
+    s.wiener_block(7, 0.2)
+    seed, path_id = (1 << 64) + 11, (1 << 60) - 1
+    s.reset(seed, path_id)
+    assert s.counters == [0, 0, 0, 0]
+    assert_matches_numpy_philox(s, seed, path_id)
 
 
 def test_wiener_block_edge_cases():

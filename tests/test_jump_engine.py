@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from pdifmp import (
     simulate_path,
 )
 from pdifmp import GliomaSplitting, jump_engine
-from pdifmp.errors import CounterOverflowError, RateBoundError, RunawayRateError
+from pdifmp.errors import CounterOverflowError, ModelDefinitionError, RateBoundError, RunawayRateError
 from pdifmp.flows import GbmEulerMaruyama, GliomaEulerMaruyama
 from pdifmp.models import GliomaParams
 
@@ -114,6 +116,30 @@ def test_accept_raises_on_bound_violation():
         simulate_path(model, EulerMaruyama(), fork_for_path(1, 0), h=0.125)
     with pytest.raises(RateBoundError):
         next_jump(model, EulerMaruyama(), fork_for_path(1, 0), h=0.125)
+
+
+@pytest.mark.parametrize("rate", [math.nan, -0.5])
+def test_rate_outside_nonnegative_numbers_is_an_error(rate):
+    # such a rate would otherwise reject every proposal without a trace
+    model = constant_rate_model(rate=rate, rate_bound=1.0, horizon=5.0)
+    t = fork_for_path(1, 0).proposal_time(1, 1.0)
+    assert t < 5.0
+    match = re.escape(f"rate {rate!r} at t={t!r}, y=(1.0,), v=0 is not a nonnegative number")
+    with pytest.raises(ModelDefinitionError, match=match):
+        simulate_path(model, EulerMaruyama(), fork_for_path(1, 0), h=0.125)
+    with pytest.raises(ModelDefinitionError, match=match):
+        simulate_coupled_pair(model, EulerMaruyama(), EulerMaruyama(), fork_for_path(1, 0), h=0.125, stride=None)
+
+
+@pytest.mark.parametrize("stride", [1, None])
+def test_jump_transform_must_keep_the_state_size(stride):
+    # the GBM kernel reads only y[0], so without the check the extra
+    # component would reach the recorded arrays
+    model = dataclasses.replace(
+        constant_rate_model(rate=1.0, rate_bound=1.0, horizon=5.0), jump_update=lambda y, v, u: (y[0], 0.0)
+    )
+    with pytest.raises(ModelDefinitionError, match=r"jump transform returned \(.*, 0\.0\) at t=.* for the state"):
+        simulate_path(model, GbmEulerMaruyama(mu=0.1, sigma=0.2), fork_for_path(1, 0), h=0.125, stride=stride)
 
 
 def test_apply_jump_preserves_continuous_state():
@@ -260,7 +286,7 @@ def test_block_divergence_matches_stepping(case):
         if grid is None:
             continue
         pts = grid.points()
-        for i, dw in enumerate(dws.tolist()):
+        for i, dw in enumerate(map(float, dws)):
             try:
                 row = integrator.step(model, y, v, grid.h_local, dw)
             except OverflowError:
@@ -384,6 +410,20 @@ def test_stride_must_be_positive_or_none():
     model = constant_rate_model(rate=0.5, rate_bound=1.0)
     with pytest.raises(ValueError):
         simulate_path(model, EulerMaruyama(), fork_for_path(1, 0), h=0.25, stride=0)
+
+
+def test_plan_holds_at_most_one_block_of_floats():
+    # the first _BLOCK cells' increments are floats, shared by both sides of
+    # a coupled pair; later segments stay arrays, so a long plan stays small
+    model = constant_rate_model(rate=1.0, rate_bound=20.0, horizon=5.0)
+    plan = [p for p in jump_engine._plan(model, fork_for_path(4, 0), 1e-3) if p[2] is not None]
+    floats = [type(dws) is list for _, _, _, dws, _ in plan]
+    n_floats = floats.index(False)
+    assert not any(floats[n_floats:])
+    cells = [grid.n_cells for _, _, grid, _, _ in plan]
+    assert sum(cells[:n_floats]) <= jump_engine._BLOCK < sum(cells[: n_floats + 1])
+    short = constant_rate_model(rate=1.0, rate_bound=20.0, horizon=1.0)
+    assert all(type(p[3]) is list for p in jump_engine._plan(short, fork_for_path(4, 0), 1e-3) if p[2] is not None)
 
 
 def assert_stride_recording(built, other, h):
@@ -524,7 +564,7 @@ def test_first_jump_law_under_thinning_matches_scipy():
 
 def _trajectory_bytes(traj) -> tuple:
     arrays = (traj.times, traj.values, traj.jump_times, traj.interval_modes, traj.post_jump_values)
-    return tuple(a.tobytes() for a in arrays) + (repr(traj.stats),)
+    return tuple((str(a.dtype), a.shape, a.tobytes()) for a in arrays) + (repr(traj.stats),)
 
 
 @settings(max_examples=50, deadline=None)
@@ -547,6 +587,8 @@ def test_engine_properties(rate_bound, rate_share, h, horizon, stride, path_id):
     em = EulerMaruyama()
     traj = simulate_path(model, em, fork_for_path(17, path_id), h, stride=stride)
     traj.validate(horizon)
+    assert traj.values.shape == (len(traj.times), 1) and traj.values.dtype == np.float64
+    assert traj.post_jump_values.shape == (traj.jump_count, 1) and traj.post_jump_values.dtype == np.float64
     assert traj.times[-1] == horizon
     assert traj.jump_count == traj.stats.n_accepted <= traj.stats.n_proposals
 
