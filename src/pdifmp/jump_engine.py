@@ -116,19 +116,18 @@ def _apply_jump_transform(jump_update, y: tuple, v_new: int, u_mag: float, t: fl
 
 
 def _flow_diverged(
-    model: PDifMPModel, integrator, y: tuple, v: int, grid: JumpAdaptedGrid, start: int, dws
+    model: PDifMPModel, integrator, y: tuple, v: int, grid: JumpAdaptedGrid, start: int, dws: np.ndarray
 ) -> SimulationDivergedError:
     """The error of a block that overflowed or ended non-finite.
 
     The block stepped ``y`` in mode ``v`` from cell ``start`` of ``grid``
-    over the increments ``dws`` (floats or an array).  Its cells are
-    stepped again one at a time, with the same arithmetic: the first that
-    raises ``OverflowError`` is reported with the state it started from, at
-    its left end; the first that returns a non-finite row with that row, at
-    its right end.
+    over the increments ``dws``.  Its cells are stepped again one at a time,
+    with the same arithmetic: the first that raises ``OverflowError`` is
+    reported with the state it started from, at its left end; the first
+    that returns a non-finite row with that row, at its right end.
     """
     pts = grid.points()
-    for i, dw in enumerate(map(float, dws), start):
+    for i, dw in enumerate(dws.tolist(), start):
         try:
             row = integrator.step(model, y, v, grid.h_local, dw)
         except OverflowError:
@@ -154,25 +153,16 @@ def _plan(model: PDifMPModel, stream: DriverStream, h: float):
     with its Wiener block ``dws`` (both None for an empty segment), and
     ``tested`` whether the proposal lies within the horizon.  The plan ends
     at the horizon.
-
-    The segments of the path's first ``_BLOCK`` cells, all of a short path,
-    carry their increments as Python floats, so the two sides of a coupled
-    pair share one conversion; later segments carry the array, which
-    ``_run_side`` converts block by block.  A plan never holds more than
-    one block of floats.
     """
     bound = model.rate_bound
     T = model.horizon
     t_prev = 0.0
-    floats = _BLOCK
     for k in range(1, PROPOSAL_CAP + 1):
         t_star = stream.proposal_time(k, bound)
         t = t_star if t_star < T else T
         if t > t_prev:
             grid = JumpAdaptedGrid(t_prev, t, h)
-            dws = stream.wiener_block(grid.n_cells, grid.h_local)
-            floats -= grid.n_cells
-            yield k, t, grid, dws.tolist() if floats >= 0 else dws, t_star <= T
+            yield k, t, grid, stream.wiener_block(grid.n_cells, grid.h_local), t_star <= T
         else:
             yield k, t, None, None, t_star <= T
         if t_star >= T:
@@ -241,8 +231,7 @@ def _run_side(
             for start, cells in blocks:
                 out: list[float] = []
                 try:
-                    # an array is converted inline, so no list outlives its block
-                    y_end = run_cells(model, y, v, h_loc, cells if type(cells) is list else cells.tolist(), out)
+                    y_end = run_cells(model, y, v, h_loc, cells.tolist(), out)
                     finite = all(map(math.isfinite, y_end))
                 except OverflowError:
                     finite = False

@@ -286,7 +286,7 @@ def test_block_divergence_matches_stepping(case):
         if grid is None:
             continue
         pts = grid.points()
-        for i, dw in enumerate(map(float, dws)):
+        for i, dw in enumerate(dws.tolist()):
             try:
                 row = integrator.step(model, y, v, grid.h_local, dw)
             except OverflowError:
@@ -410,20 +410,6 @@ def test_stride_must_be_positive_or_none():
     model = constant_rate_model(rate=0.5, rate_bound=1.0)
     with pytest.raises(ValueError):
         simulate_path(model, EulerMaruyama(), fork_for_path(1, 0), h=0.25, stride=0)
-
-
-def test_plan_holds_at_most_one_block_of_floats():
-    # the first _BLOCK cells' increments are floats, shared by both sides of
-    # a coupled pair; later segments stay arrays, so a long plan stays small
-    model = constant_rate_model(rate=1.0, rate_bound=20.0, horizon=5.0)
-    plan = [p for p in jump_engine._plan(model, fork_for_path(4, 0), 1e-3) if p[2] is not None]
-    floats = [type(dws) is list for _, _, _, dws, _ in plan]
-    n_floats = floats.index(False)
-    assert not any(floats[n_floats:])
-    cells = [grid.n_cells for _, _, grid, _, _ in plan]
-    assert sum(cells[:n_floats]) <= jump_engine._BLOCK < sum(cells[: n_floats + 1])
-    short = constant_rate_model(rate=1.0, rate_bound=20.0, horizon=1.0)
-    assert all(type(p[3]) is list for p in jump_engine._plan(short, fork_for_path(4, 0), 1e-3) if p[2] is not None)
 
 
 def assert_stride_recording(built, other, h):
