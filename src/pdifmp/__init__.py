@@ -36,6 +36,7 @@ from .models import (
 from .analysis import (
     fit_slope,
     grow_weak_error_estimate,
+    strong_error,
     strong_rmse,
     sup_difference,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "sample_mode",
     "simulate_coupled_pair",
     "simulate_path",
+    "strong_error",
     "strong_rmse",
     "sup_difference",
     "validate_model",

@@ -2,6 +2,9 @@
 
 Strong error uses the jump-adapted RMSE: the maximum over grid indices of
 the root mean square cross-path difference between coupled trajectories.
+It is a one-pass reduction: each coupled pair becomes one row of squared
+distances as it arrives, so a study holds O(paths x cells) floats and no
+trajectories.
 Weak error is estimated by common-driver Monte Carlo: exact and discretised
 paths share every proposal, uniform and Wiener increment, so the paired
 differences isolate the discretisation bias at a variance far below that of
@@ -12,7 +15,7 @@ independent sampling.  Observed orders come from ordinary least squares on
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,41 +25,62 @@ from .errors import CouplingBrokenError
 from .jump_engine import simulate_coupled_pair
 
 
-def _check_pair_grids(pair: tuple[Trajectory, Trajectory]) -> None:
+def _squared_distances(pair: tuple[Trajectory, Trajectory]) -> np.ndarray:
+    """Squared state distance at each grid index of a pair whose two sides
+    must share one grid."""
     a, b = pair
     if len(a.times) != len(b.times) or not np.array_equal(a.times, b.times):
         raise CouplingBrokenError(
             f"coupled trajectories disagree on the grid ({len(a.times)} vs {len(b.times)} points)"
         )
+    d = a.values - b.values
+    return np.einsum("ij,ij->i", d, d)
 
 
-def strong_rmse(pairs: Sequence[tuple[Trajectory, Trajectory]]) -> float:
-    """Jump-adapted RMSE over a batch of coupled trajectory pairs.
+def strong_error(pairs: Iterable[tuple[Trajectory, Trajectory]]) -> tuple[float, float]:
+    """Jump-adapted RMSE over coupled trajectory pairs, and its standard error.
 
     At each grid index the squared state difference is averaged across
-    paths; the metric is the maximum over the indices shared by every pair
+    paths; the RMSE is the maximum over the indices shared by every pair
     of the square root of that average.  Within a pair the grids must agree
     exactly (they do, by coupled construction); across pairs the common
     index range is used, since jump realisations differ between paths.
+
+    ``pairs`` is read once, in order, and may be a generator.  Each pair's
+    grids are checked as it arrives, and the pair is reduced to its row of
+    per-index squared distances and dropped, so the memory held is one row
+    per pair, O(paths x cells) floats, and never a trajectory.  The rows
+    are summed in path order.
+
+    The standard error comes from the delta method at the worst index (the
+    argmax of the mean row): the standard deviation of that column over
+    pairs, divided by sqrt(paths) and by 2 * RMSE.  It is NaN for a single
+    pair or a zero RMSE.
     """
-    if not pairs:
+    rows = [_squared_distances(pair) for pair in pairs]
+    if not rows:
         raise ValueError("at least one coupled pair is required")
-    for pair in pairs:
-        _check_pair_grids(pair)
-    n_common = min(len(p[0].times) for p in pairs)
+    n = len(rows)
+    n_common = min(len(r) for r in rows)
     acc = np.zeros(n_common)
-    for a, b in pairs:
-        d = a.values[:n_common] - b.values[:n_common]
-        acc += np.einsum("ij,ij->i", d, d)
-    return float(np.sqrt(np.max(acc) / len(pairs)))
+    for r in rows:
+        acc += r[:n_common]
+    rmse = float(np.sqrt(np.max(acc) / n))
+    if n == 1 or rmse == 0.0:
+        return rmse, math.nan
+    worst = int(np.argmax(acc / n))
+    column = np.array([r[worst] for r in rows])
+    return rmse, float(column.std(ddof=1) / math.sqrt(n)) / (2.0 * rmse)
+
+
+def strong_rmse(pairs: Iterable[tuple[Trajectory, Trajectory]]) -> float:
+    """The RMSE of ``strong_error``, without its standard error."""
+    return strong_error(pairs)[0]
 
 
 def sup_difference(pair: tuple[Trajectory, Trajectory]) -> float:
     """Maximum state distance between two trajectories on their shared grid."""
-    _check_pair_grids(pair)
-    a, b = pair
-    d = a.values - b.values
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d))))
+    return float(np.sqrt(np.max(_squared_distances(pair))))
 
 
 def fit_slope(rows: Sequence[tuple[float, float]]) -> tuple[float, float]:

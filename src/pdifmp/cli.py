@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import fit_slope, grow_weak_error_estimate, strong_rmse, sup_difference
+from .analysis import fit_slope, grow_weak_error_estimate, strong_error, sup_difference
 from .core import Trajectory, validate_model
 from .drivers import DriverStream
 from .errors import ConfigError
@@ -215,27 +215,17 @@ def emit_plot_data(rows: list[list]) -> tuple[list[str], list[list[float]]]:
 
 def _run_strong_convergence(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> int:
     (built,) = models
-    em = built.em
-    rows = []
     stream = DriverStream(cfg.seed, 0)
-    for li, h in enumerate(cfg.h_list):
-        pairs = []
+
+    def level_pairs(li: int, h: float):
+        # one pair at a time: strong_error keeps a row of it, not the pair
         for j in range(cfg.paths):
             stream.reset(cfg.seed, li * cfg.paths + j)
-            pairs.append(simulate_coupled_pair(built.model, em, built.exact, stream, h=h))
-        rmse = strong_rmse(pairs)
-        # standard error via the delta method at the worst grid index
-        n_common = min(len(p[0].times) for p in pairs)
-        d2 = np.stack(
-            [
-                np.einsum("ij,ij->i", a.values[:n_common] - b.values[:n_common],
-                          a.values[:n_common] - b.values[:n_common])
-                for a, b in pairs
-            ]
-        )
-        worst = int(np.argmax(d2.mean(axis=0)))
-        se_meansq = float(d2[:, worst].std(ddof=1) / math.sqrt(cfg.paths)) if cfg.paths > 1 else math.nan
-        se = se_meansq / (2.0 * rmse) if rmse > 0 else math.nan
+            yield simulate_coupled_pair(built.model, built.em, built.exact, stream, h=h)
+
+    rows = []
+    for li, h in enumerate(cfg.h_list):
+        rmse, se = strong_error(level_pairs(li, h))
         rows.append([h, rmse, se, cfg.paths])
         print(f"h={h:g} rmse={rmse:.6g} se={se:.3g} paths={cfg.paths}")
     slope, intercept = fit_slope(rows)

@@ -45,6 +45,7 @@ instance observe identical values at identical indices.
 from __future__ import annotations
 
 import math
+from operator import index as _index
 
 import numpy as np
 
@@ -85,10 +86,21 @@ class DriverStream:
         self.reset(seed, path_id)
 
     def reset(self, seed: int, path_id: int) -> None:
-        """Re-key the stream in place; equivalent to a fresh construction."""
+        """Re-key the stream in place; equivalent to a fresh construction.
+
+        ``seed`` and ``path_id`` are integers of any kind (numpy's too); the
+        seed is taken modulo 2**64.
+        """
+        try:
+            seed = _index(seed) & _MASK64
+        except TypeError:
+            raise TypeError(f"seed must be an integer, got {seed!r}") from None
+        try:
+            path_id = _index(path_id)
+        except TypeError:
+            raise TypeError(f"path_id must be an integer, got {path_id!r}") from None
         if not 0 <= path_id < _MAX_PATH:
             raise ValueError(f"path_id must lie in [0, 2**60), got {path_id!r}")
-        seed &= _MASK64
         key_hi = path_id << 3
         for sub, (bg, st) in enumerate(zip(self._bitgens, self._states)):
             key = st["state"]["key"]

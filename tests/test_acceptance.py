@@ -43,12 +43,12 @@ def _strong_slope(built, h_exponents, paths):
     rows = []
     for li, k in enumerate(h_exponents):
         h = 2.0**-k
-        pairs = [
+        pairs = (
             simulate_coupled_pair(
                 built.model, built.em, built.exact, fork_for_path(SEED, li * paths + j), h=h
             )
             for j in range(paths)
-        ]
+        )
         rows.append((h, strong_rmse(pairs)))
     slope, _ = fit_slope(rows)
     return slope, rows

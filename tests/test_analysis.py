@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from pdifmp import (
     fork_for_path,
     grow_weak_error_estimate,
     simulate_coupled_pair,
+    strong_error,
     strong_rmse,
     sup_difference,
 )
@@ -105,6 +108,90 @@ def test_strong_rmse_invariant_under_index_permutation():
         for p in pairs
     ]
     assert strong_rmse(shuffled) == pytest.approx(base, rel=1e-14)
+
+
+# -- strong_error ----------------------------------------------------------------
+
+
+def held_list_strong_error(pairs):
+    """The RMSE and delta-method standard error over a list of pairs held at
+    once, written out as the strong study computed them before its one-pass
+    reduction."""
+    n_common = min(len(p[0].times) for p in pairs)
+    acc = np.zeros(n_common)
+    for a, b in pairs:
+        d = a.values[:n_common] - b.values[:n_common]
+        acc += np.einsum("ij,ij->i", d, d)
+    rmse = float(np.sqrt(np.max(acc) / len(pairs)))
+    d2 = np.stack(
+        [
+            np.einsum("ij,ij->i", a.values[:n_common] - b.values[:n_common],
+                      a.values[:n_common] - b.values[:n_common])
+            for a, b in pairs
+        ]
+    )
+    worst = int(np.argmax(d2.mean(axis=0)))
+    se_meansq = float(d2[:, worst].std(ddof=1) / math.sqrt(len(pairs))) if len(pairs) > 1 else math.nan
+    se = se_meansq / (2.0 * rmse) if rmse > 0 else math.nan
+    return rmse, se
+
+
+def jumping_pairs(n, h=2.0**-5, seed=21):
+    # example2 at rate_value 0.02 jumps about once per path, so the pairs'
+    # grid lengths differ
+    built = build_model("example2", rate_value=0.02)
+    for j in range(n):
+        yield simulate_coupled_pair(built.model, built.em, built.exact, fork_for_path(seed, j), h=h)
+
+
+def same_bits(x: float, y: float) -> bool:
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def test_strong_error_matches_held_list_reference_bitwise():
+    held = list(jumping_pairs(30))
+    assert len({len(a.times) for a, _ in held}) > 1
+    one = held[:1]
+    identical = [(a, a) for a, _ in held[:3]]
+    for pairs in (held, one, identical):
+        got = strong_error(iter(pairs))
+        want = held_list_strong_error(pairs)
+        assert all(same_bits(g, w) for g, w in zip(got, want)), (got, want)
+        assert same_bits(strong_rmse(iter(pairs)), want[0])
+    assert math.isnan(strong_error(iter(one))[1])
+    rmse, se = strong_error(iter(identical))
+    assert rmse == 0.0 and math.isnan(se)
+
+
+def test_strong_error_checks_pairs_as_they_arrive():
+    good = make_traj([0.0, 0.5, 1.0], [0.0, 0.0, 0.0])
+    a = make_traj([0.0, 0.5, 1.0], [0.0, 0.0, 0.0])
+    b = make_traj([0.0, 0.6, 1.0], [0.0, 0.0, 0.0])
+    with pytest.raises(CouplingBrokenError):
+        strong_error(p for p in [(good, good), (a, b)])
+    with pytest.raises(ValueError):
+        strong_error(p for p in [])
+
+
+def test_strong_error_drops_each_pair_before_the_next_is_made():
+    # the reduction keeps a row per pair, not the pair: before pair j + 1 is
+    # made, pair j - 1's trajectories are gone (pair j may still be bound to
+    # the loop variable)
+    refs = []
+    checked = []
+
+    def pairs():
+        for j, pair in enumerate(jumping_pairs(5, h=2.0**-4)):
+            if j >= 2:
+                gc.collect()
+                checked.append([r() is None for r in refs[j - 2]])
+            refs.append([weakref.ref(t) for t in pair])
+            yield pair
+            del pair
+
+    rmse, _ = strong_error(pairs())
+    assert checked == [[True, True]] * 3
+    assert rmse > 0.0
 
 
 # -- sup_difference ---------------------------------------------------------------
@@ -273,10 +360,10 @@ def test_coupled_rmse_report_end_to_end():
     rows = []
     for li, k in enumerate(range(4, 8)):
         h = 2.0**-k
-        pairs = []
-        for j in range(60):
-            stream = fork_for_path(9, li * 60 + j)
-            pairs.append(simulate_coupled_pair(built.model, built.em, built.exact, stream, h=h))
+        pairs = (
+            simulate_coupled_pair(built.model, built.em, built.exact, fork_for_path(9, li * 60 + j), h=h)
+            for j in range(60)
+        )
         rows.append((h, strong_rmse(pairs)))
     slope, _ = fit_slope(rows)
     assert 0.3 <= slope <= 0.7

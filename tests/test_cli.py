@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -213,6 +214,39 @@ def test_run_convergence_and_outputs(tmp_path, capsys):
     assert 0.2 <= summary["slope"] <= 0.9
     plot = (out / "plot.csv").read_text().splitlines()
     assert plot[0] == "log2_h,log2_metric,ref_slope_05,ref_slope_1"
+
+
+# sha256 of each output of two small strong studies, taken when the study
+# still held every pair of a level in memory; the one-pass reduction must
+# keep every byte.  With rate_value 0.02 the pairs jump, so their grid
+# lengths differ; one path per level gives a NaN standard error.
+STRONG_BYTES = {
+    "jumps": (
+        {"model": {"id": "example2", "rate_value": 0.02}, "paths": 40},
+        {
+            "results.csv": "8c90df8cb8ce37a5d2b80caf5be52a5931fc5b0ec693bfa1c2145eb65c3daaa6",
+            "summary.json": "428f7bdfaecd77c8144b0f9ec1256425ac0aeb186c6c42e5112684f28b4019b6",
+            "plot.csv": "aac5f04aa0dc1bbc0163c475a9470a4fe5ca16a40b663e5bcbf0940afa186e46",
+        },
+    ),
+    "one_path": (
+        {"paths": 1},
+        {
+            "results.csv": "8961d87fd8d7bc5c9de428444dfe2cb7a33eed16b3e537024172c2ce9dd2195a",
+            "summary.json": "084f5b635dafe781009865c8590ae9af12573251f67568d52e46617037839237",
+            "plot.csv": "4b329471e29c8559c78419fbab78141d5c29bc76046d048d1604d5e1b5811d39",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRONG_BYTES))
+def test_strong_study_output_bytes(tmp_path, case):
+    overrides, digests = STRONG_BYTES[case]
+    cfg = write_config(tmp_path, "convergence_example2", slope_band=[-10.0, 10.0], **overrides)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    out = tmp_path / "out"
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
 
 
 def test_run_band_failure_exits_2(tmp_path):

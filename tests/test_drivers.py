@@ -126,6 +126,35 @@ def test_reset_matches_numpy_philox():
     assert_matches_numpy_philox(s, seed, path_id)
 
 
+@pytest.mark.parametrize(
+    "seed, equal",
+    [(np.int64(5), 5), (np.uint64(5), 5), (np.uint64((1 << 64) - 1), (1 << 64) - 1), ((1 << 64) + 11, 11)],
+    ids=["int64", "uint64", "uint64_max", "above_2_64"],
+)
+def test_integer_kinds_key_the_stream_as_the_equal_int(seed, equal):
+    # numpy integers (what np.arange yields) are seeds like Python ints,
+    # and a seed is taken modulo 2**64
+    path_id = np.int64(3)
+    assert_matches_numpy_philox(DriverStream(seed, path_id), equal, 3)
+    s = fork_for_path(1, 0)
+    s.wiener_block(4, 1.0)
+    s.reset(seed, np.uint64(3))
+    assert_matches_numpy_philox(s, equal, 3)
+
+
+@pytest.mark.parametrize("bad", [5.0, 1.5, "5", None])
+def test_non_integer_seed_or_path_id_names_the_argument(bad):
+    with pytest.raises(TypeError, match="seed"):
+        DriverStream(bad, 0)
+    with pytest.raises(TypeError, match="path_id"):
+        DriverStream(5, bad)
+    s = fork_for_path(5, 0)
+    with pytest.raises(TypeError, match="seed"):
+        s.reset(bad, 0)
+    with pytest.raises(TypeError, match="path_id"):
+        s.reset(5, bad)
+
+
 def test_wiener_block_edge_cases():
     s = fork_for_path(2, 0)
     # one float64 array, as the engine slices it

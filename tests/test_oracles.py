@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from pdifmp import DriverStream, build_model, grow_weak_error_estimate, simulate_path
+from pdifmp import (
+    DriverStream,
+    build_model,
+    grow_weak_error_estimate,
+    simulate_coupled_pair,
+    simulate_path,
+    strong_rmse,
+)
 
 
 def test_exact_gbm_mean_matches_closed_form():
@@ -25,6 +32,36 @@ def test_exact_gbm_mean_matches_closed_form():
     expected = p.y0 * math.exp(p.mu * T - p.rate_value * T * (1.0 - p.jump_scale))
     se = terminal.std(ddof=1) / math.sqrt(n)
     assert abs(terminal.mean() - expected) < 3 * se
+
+
+def test_jump_free_strong_rmse_matches_leading_order():
+    # Euler-Maruyama on GBM without jumps: to leading order in h,
+    # E|Y_t - Y^h_t|^2 = (h / 2) t y0^2 sigma^4 e^{(2 mu + sigma^2) t}, which
+    # is largest at T, so the jump-adapted RMSE (the max over grid indices)
+    # is y0 sigma^2 sqrt(T h / 2) e^{(mu + sigma^2 / 2) T}.  The published
+    # example2 bound (0.001) leaves this ladder without a jump at this seed.
+    # Band: seeds 1-40 read RMSE / leading order in [0.878, 1.152] over
+    # their 200 levels (30 of those seeds had a jump somewhere).
+    built = build_model("example2", as_published=True)
+    p = built.params
+    seed, paths = 12345, 200
+    stream = DriverStream(seed, 0)
+    accepted = []
+
+    def level_pairs(li, h):
+        for j in range(paths):
+            stream.reset(seed, li * paths + j)
+            a, b = simulate_coupled_pair(built.model, built.em, built.exact, stream, h=h)
+            accepted.append(a.stats.n_accepted + b.stats.n_accepted)
+            yield a, b
+
+    ratios = []
+    for li, k in enumerate(range(6, 11)):
+        h = 2.0**-k
+        leading = p.y0 * p.sigma**2 * math.sqrt(p.horizon * h / 2) * math.exp((p.mu + p.sigma**2 / 2) * p.horizon)
+        ratios.append(strong_rmse(level_pairs(li, h)) / leading)
+    assert len(accepted) == 5 * paths and not any(accepted)
+    assert all(0.8 <= r <= 1.25 for r in ratios), ratios
 
 
 GLIOMA_ODE = dict(lambda0=0.7, lambda1=0.08, a=0.5, b=0.2, x0=0.3, z0=0.6)
