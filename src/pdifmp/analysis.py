@@ -120,6 +120,8 @@ def grow_weak_error_estimate(
         raise ValueError(f"model {model.name!r} has no exact flow; weak error needs one")
     if pilot < 1:
         raise ValueError(f"at least one pilot path required, got {pilot!r}")
+    if max_paths < 1:
+        raise ValueError(f"max_paths must be at least 1, got {max_paths!r}")
     stream = DriverStream(seed, 0)
     total = 0.0
     total_sq = 0.0

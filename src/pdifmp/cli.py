@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import statistics
@@ -93,8 +94,8 @@ class ExperimentConfig:
             raise ConfigError("config.model must be an object with an 'id' key")
         if not isinstance(self.h_list, (list, tuple)) or not self.h_list:
             raise ConfigError("h_list must be a nonempty list")
-        if any(not _is_real(h) or not h > 0.0 for h in self.h_list):
-            raise ConfigError(f"h_list entries must be positive numbers, got {self.h_list!r}")
+        if any(not _is_real(h) or not 0.0 < h < math.inf for h in self.h_list):
+            raise ConfigError(f"h_list entries must be positive finite numbers, got {self.h_list!r}")
         if list(self.h_list) != sorted(self.h_list, reverse=True) or len(set(self.h_list)) != len(self.h_list):
             raise ConfigError("h_list must be strictly decreasing")
         if not _is_int(self.seed):
@@ -111,6 +112,8 @@ class ExperimentConfig:
             band = getattr(self, name)
             if not isinstance(band, (list, tuple)) or len(band) != 2 or not all(map(_is_real, band)):
                 raise ConfigError(f"{name} must be a [lo, hi] pair of numbers, got {band!r}")
+            if not all(-math.inf < end < math.inf for end in band) or band[0] > band[1]:
+                raise ConfigError(f"{name} must be a finite [lo, hi] pair with lo <= hi, got {band!r}")
         for name in ("rel_se_target", "sup_ratio_max"):
             value = getattr(self, name)
             if not _is_real(value) or not value > 0.0:
@@ -154,16 +157,9 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """Fixed column order: t, y1..yd, v, is_jump."""
     dim = traj.values.shape[1]
     header = ["t"] + [f"y{j + 1}" for j in range(dim)] + ["v", "is_jump"]
-    modes = traj.mode_per_point()
-    jumps = traj.is_jump_point()
-    rows = []
-    for i in range(len(traj.times)):
-        rows.append(
-            [float(traj.times[i])]
-            + [float(c) for c in traj.values[i]]
-            + [int(modes[i]), int(jumps[i])]
-        )
-    _write_csv(path, header, rows)
+    columns = (traj.times.tolist(), traj.values.tolist(), traj.mode_per_point().tolist(),
+               traj.is_jump_point().astype(int).tolist())
+    _write_csv(path, header, [[t, *y, v, jump] for t, y, v, jump in zip(*columns)])
 
 
 def write_trajectory_json(path: Path, traj: Trajectory) -> None:
@@ -176,15 +172,7 @@ def write_trajectory_json(path: Path, traj: Trajectory) -> None:
         "interval_modes": traj.interval_modes.tolist(),
         "post_jump_values": traj.post_jump_values.tolist(),
         "jump_count": traj.jump_count,
-        "stats": {
-            "n_proposals": traj.stats.n_proposals,
-            "n_accepted": traj.stats.n_accepted,
-            "n_cells": traj.stats.n_cells,
-            "bound_violations": traj.stats.bound_violations,
-            "rate_min": traj.stats.rate_min,
-            "rate_max": traj.stats.rate_max,
-            "hint_excursions": list(traj.stats.hint_excursions),
-        },
+        "stats": dataclasses.asdict(traj.stats),
     }
     _write_json(path, payload)
 
@@ -213,7 +201,12 @@ def emit_plot_data(rows: list[list]) -> tuple[list[str], list[list[float]]]:
 # -- experiments ---------------------------------------------------------------
 
 
-def _run_strong_convergence(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> int:
+# what a study returns: its results.csv header and rows, its own summary.json
+# entries, and whether its metric is inside its acceptance band
+StudyResult = tuple[list[str], list[list], dict, bool]
+
+
+def _run_strong_convergence(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> StudyResult:
     (built,) = models
     stream = DriverStream(cfg.seed, 0)
 
@@ -231,33 +224,20 @@ def _run_strong_convergence(cfg: ExperimentConfig, models: list[BuiltModel], out
     slope, intercept = fit_slope(rows)
     lo, hi = cfg.slope_band
     passed = lo <= slope <= hi
-    _write_csv(out / "results.csv", ["h", "metric", "stderr", "paths"], rows)
     header, plot = emit_plot_data(rows)
     _write_csv(out / "plot.csv", header, plot)
-    _write_json(
-        out / "summary.json",
-        {
-            "experiment": cfg.experiment,
-            "metric": "strong_rmse",
-            "slope": slope,
-            "intercept": intercept,
-            "slope_band": list(cfg.slope_band),
-            "passed": passed,
-            "seed": cfg.seed,
-        },
-    )
     print(f"slope={slope:.4f} band=[{lo}, {hi}] -> {'pass' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_BAND
+    summary = {"metric": "strong_rmse", "slope": slope, "intercept": intercept, "slope_band": [lo, hi]}
+    return ["h", "metric", "stderr", "paths"], rows, summary, passed
 
 
-def _run_weak_error(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> int:
+def _run_weak_error(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> StudyResult:
     (built,) = models
 
     def F(y: tuple, v: int) -> float:
         return y[0]
 
     rows = []
-    estimates = []
     all_se_ok = True
     for li, h in enumerate(cfg.h_list):
         est, se, used = grow_weak_error_estimate(
@@ -273,30 +253,18 @@ def _run_weak_error(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) 
         se_ok = est != 0.0 and se < 0.2 * abs(est)
         all_se_ok = all_se_ok and se_ok
         rows.append([h, est, se, used])
-        estimates.append(est)
         print(f"h={h:g} weak_error={est:.6g} se={se:.3g} paths={used} se_ok={se_ok}")
+    estimates = [row[1] for row in rows]
     ratios = [estimates[i] / estimates[i + 1] for i in range(len(estimates) - 1)]
     lo, hi = cfg.ratio_band
     ratios_ok = all(lo <= r <= hi for r in ratios)
     passed = all_se_ok and ratios_ok
-    _write_csv(out / "results.csv", ["h", "metric", "stderr", "paths"], rows)
-    _write_json(
-        out / "summary.json",
-        {
-            "experiment": cfg.experiment,
-            "metric": "weak_error",
-            "estimates": estimates,
-            "ratios": ratios,
-            "ratio_band": list(cfg.ratio_band),
-            "passed": passed,
-            "seed": cfg.seed,
-        },
-    )
     print(f"ratios={['%.3f' % r for r in ratios]} band=[{lo}, {hi}] -> {'pass' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_BAND
+    summary = {"metric": "weak_error", "estimates": estimates, "ratios": ratios, "ratio_band": [lo, hi]}
+    return ["h", "metric", "stderr", "paths"], rows, summary, passed
 
 
-def _run_glioma_sweep(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> int:
+def _run_glioma_sweep(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> StudyResult:
     (h,) = cfg.h_list
     rows = []
     ok = True
@@ -324,15 +292,10 @@ def _run_glioma_sweep(cfg: ExperimentConfig, models: list[BuiltModel], out: Path
         )
     header = ["lambda0", "lambda1", "h", "jumps", "proposals", "rate_min", "rate_max", "excursions_x",
               "excursions_z", "finite"]
-    _write_csv(out / "results.csv", header, rows)
-    _write_json(
-        out / "summary.json",
-        {"experiment": cfg.experiment, "passed": ok, "runs": len(rows), "seed": cfg.seed},
-    )
-    return EXIT_OK if ok else EXIT_BAND
+    return header, rows, {"runs": len(rows)}, ok
 
 
-def _run_tem_vs_tsm(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> int:
+def _run_tem_vs_tsm(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> StudyResult:
     (built,) = models
     em = built.em
     tsm = built.splitting
@@ -352,29 +315,23 @@ def _run_tem_vs_tsm(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) 
     decreasing = all(medians[i] > medians[i + 1] for i in range(len(medians) - 1))
     ratio = medians[-1] / medians[0] if medians[0] > 0 else math.inf
     passed = decreasing and ratio <= cfg.sup_ratio_max
-    _write_csv(out / "results.csv", ["h", "seed", "sup_difference"], rows)
-    _write_json(
-        out / "summary.json",
-        {
-            "experiment": cfg.experiment,
-            "medians": medians,
-            "h_list": list(cfg.h_list),
-            "final_over_coarsest": ratio,
-            "decreasing": decreasing,
-            "passed": passed,
-            "seed": cfg.seed,
-        },
-    )
     print(f"medians={['%.4g' % m for m in medians]} decreasing={decreasing} ratio={ratio:.4g}")
-    return EXIT_OK if passed else EXIT_BAND
+    summary = {"medians": medians, "h_list": list(cfg.h_list), "final_over_coarsest": ratio,
+               "decreasing": decreasing}
+    return ["h", "seed", "sup_difference"], rows, summary, passed
 
 
 @dataclass(frozen=True)
 class Experiment:
     """One CLI study: its runner, the ``BuiltModel`` integrator it pairs
-    with EM (None: EM alone), and the keys it reads besides ``COMMON_KEYS``."""
+    with EM (None: EM alone), and the keys it reads besides ``COMMON_KEYS``.
 
-    run: Callable[[ExperimentConfig, list[BuiltModel], Path], int]
+    ``run(cfg, models, out)`` simulates the study and returns its
+    ``results.csv`` table, its own ``summary.json`` entries and its verdict;
+    ``run_experiment`` writes both files.  A runner writes only the side
+    files its study alone makes (``plot.csv``, ``trajectories/``)."""
+
+    run: Callable[[ExperimentConfig, list[BuiltModel], Path], StudyResult]
     pairs_with: str | None
     keys: tuple[str, ...]
 
@@ -414,10 +371,16 @@ def build_models(cfg: ExperimentConfig) -> list[BuiltModel]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
+    """Run the study, write its ``results.csv`` and ``summary.json``, and
+    return its exit code: 0 inside the acceptance band, 2 outside it."""
     models = build_models(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return EXPERIMENTS[cfg.experiment].run(cfg, models, out)
+    header, rows, summary, passed = EXPERIMENTS[cfg.experiment].run(cfg, models, out)
+    _write_csv(out / "results.csv", header, rows)
+    summary = {"experiment": cfg.experiment, "passed": passed, "seed": cfg.seed, **summary}
+    _write_json(out / "summary.json", summary)
+    return EXIT_OK if passed else EXIT_BAND
 
 
 # -- entry points --------------------------------------------------------------

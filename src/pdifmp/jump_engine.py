@@ -141,7 +141,7 @@ def _flow_diverged(
 def _check_args(h, stride) -> None:
     if not h > 0.0:
         raise ValueError(f"positive step size required, got {h!r}")
-    if stride is not None and stride < 1:
+    if stride is not None and (type(stride) is not int or stride < 1):
         raise ValueError(f"stride must be a positive integer or None, got {stride!r}")
 
 

@@ -327,6 +327,12 @@ def test_weak_error_requires_a_pilot_path():
         grow_weak_error_estimate(built.model, built.exact, F_first, h=0.1, seed=1, pilot=0, max_paths=10, em=built.em)
 
 
+def test_weak_error_requires_a_path_budget():
+    built = build_model("weak_test")
+    with pytest.raises(ValueError, match="max_paths"):
+        grow_weak_error_estimate(built.model, built.exact, F_first, h=0.1, seed=1, max_paths=0, em=built.em)
+
+
 @pytest.mark.slow
 def test_weak_error_jump_free_bias_halves_with_h():
     # without jumps the paired estimator targets E[euler_T] - y0 e^{mu T},

@@ -141,6 +141,10 @@ def test_malformed_numeric_config_exits_64(tmp_path, experiment, overrides):
         ("glioma_sweep", dict(paths=8), "paths"),
         ("tem_vs_tsm", dict(slope_band=[0.0, 1.5]), "slope_band"),
         ("glioma_sweep", dict(sweep={"lambda0": [0.2, math.nan], "lambda1": [0.08]}), "lambda0"),
+        ("convergence_example1", dict(h_list=[math.inf, 0.0625]), "h_list"),
+        ("convergence_example1", dict(slope_band=[math.nan, math.nan]), "slope_band"),
+        ("weak_error", dict(ratio_band=[math.nan, 40.0]), "ratio_band"),
+        ("convergence_example1", dict(slope_band=[0.9, 0.1]), "slope_band"),
     ],
     ids=[
         "tem_vs_tsm_without_splitting", "weak_error_without_exact", "sweep_on_weak_test",
@@ -148,6 +152,7 @@ def test_malformed_numeric_config_exits_64(tmp_path, experiment, overrides):
         "sweep_two_h", "sweep_lambda0_in_model", "dump_trajectories_str", "out_dir_int",
         "unread_key_convergence_example1", "unread_key_convergence_example2", "unread_key_weak_error",
         "unread_key_glioma_sweep", "unread_key_tem_vs_tsm", "sweep_point_lambda0_nan",
+        "h_list_inf", "slope_band_nan", "ratio_band_nan", "slope_band_inverted",
     ],
 )
 def test_config_run_would_not_simulate_exits_64(tmp_path, monkeypatch, capsys, experiment, overrides, named):
@@ -245,6 +250,50 @@ def test_strong_study_output_bytes(tmp_path, case):
     overrides, digests = STRONG_BYTES[case]
     cfg = write_config(tmp_path, "convergence_example2", slope_band=[-10.0, 10.0], **overrides)
     assert main(["run", str(cfg)]) == EXIT_OK
+    out = tmp_path / "out"
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+
+
+# sha256 of each output of a small run of the other three studies, taken
+# while each study still wrote its own results.csv and summary.json.  The
+# weak run fails its stderr rule, so its summary holds a failed verdict; the
+# second sweep point jumps, the first makes no proposal (NaN rate range).
+STUDY_BYTES = {
+    "weak_error": (
+        {},
+        EXIT_BAND,
+        {
+            "results.csv": "44a59071f7d39647b6abcb6d5696c7c8b7e95bc96ff458e718b36a5eda0fcd35",
+            "summary.json": "22165211bebace272e03799ebefddecb6b89bbf69d69d6048b484cb378e8b41e",
+        },
+    ),
+    "tem_vs_tsm": (
+        {},
+        EXIT_OK,
+        {
+            "results.csv": "eb338d97af1fce7e8c7e6d3491809a59450a76efffc1485e37453c387b4cd2d9",
+            "summary.json": "5ae662ef82d8b8ed9c1c9199bbac905804a0bb0b0967eefec1a7dae3578c74fd",
+        },
+    ),
+    "glioma_sweep": (
+        {"sweep": {"lambda0": [0.2, 0.7], "lambda1": [0.08]}, "dump_trajectories": True, "trajectory_stride": 7},
+        EXIT_OK,
+        {
+            "results.csv": "be44cfdfd79d75eae20dd8de8059f85f0418d5134338057b6e09f5cf73ca1272",
+            "summary.json": "40b6245a893ceaab9bc0a2f4d69c707ce60310fa3021557fcfde44ce85a64875",
+            "trajectories/glioma_000.csv": "8b6ed1c986d8bac6093440671dd4163f0feaec28e6741451e94ce9fe85441f8e",
+            "trajectories/glioma_000.json": "cb9c6cc8a6ff4a64064afee5a2c148793574880df7009b5d29c5b15b7cd94da9",
+            "trajectories/glioma_001.csv": "178a2728a5411c86f28bb361c029eb340d5102babc15dedf748b7284bb0482eb",
+            "trajectories/glioma_001.json": "e54cc29bc2167700add3a44a4b273d2f59784af81d67e556fe06b77eac01e02f",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(STUDY_BYTES))
+def test_study_output_bytes(tmp_path, experiment):
+    overrides, code, digests = STUDY_BYTES[experiment]
+    assert main(["run", str(write_config(tmp_path, experiment, **overrides))]) == code
     out = tmp_path / "out"
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
 

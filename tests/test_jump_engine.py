@@ -407,9 +407,11 @@ def test_stride_none_keeps_event_endpoints():
 
 
 def test_stride_must_be_positive_or_none():
+    # a float or bool stride is refused, not truncated or read as 1
     model = constant_rate_model(rate=0.5, rate_bound=1.0)
-    with pytest.raises(ValueError):
-        simulate_path(model, EulerMaruyama(), fork_for_path(1, 0), h=0.25, stride=0)
+    for stride in (0, 2.5, True):
+        with pytest.raises(ValueError, match="stride"):
+            simulate_path(model, EulerMaruyama(), fork_for_path(1, 0), h=0.25, stride=stride)
 
 
 def assert_stride_recording(built, other, h):

@@ -2,6 +2,8 @@
 rebuilt from numpy's own Philox generator."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,11 @@ from pdifmp import (
     simulate_path,
     strong_rmse,
 )
+
+# the benchmark's reference rebuilds each grid from the draw-order contract
+# without importing the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import checks  # noqa: E402
 
 
 def test_exact_gbm_mean_matches_closed_form():
@@ -98,40 +105,6 @@ def test_glioma_flows_converge_to_ode_without_noise(flow):
 WEAK = dict(mu=1.0, sigma=0.2, y0=1.0, rate_value=1.0, rate_bound=1.0, jump_scale=0.9, horizon=1.0)
 
 
-def weak_bias_reference(seed: int, h: float, n_paths: int) -> float:
-    """Mean over paths 0..n_paths-1 of E[EM_T - exact_T | grid, jumps]
-    = y0 0.9^N (prod(1 + mu h_i) - e^{mu T}) for ``WEAK``.
-
-    Path j's proposal times come from numpy's Philox keyed
-    ``(seed, (j << 3) | 0)``, skipping a zero uniform; at rate = bound = 1
-    every proposal up to the horizon is a jump, and a segment of length L
-    between events has max(1, floor(L / h)) equal cells.
-    """
-    mu, T = WEAK["mu"], WEAK["horizon"]
-    total = 0.0
-    for j in range(n_paths):
-        gen = np.random.Generator(np.random.Philox(key=[seed, (j << 3) | 0]))
-        events = []
-        t = 0.0
-        while True:
-            u = gen.random()
-            if u == 0.0:
-                continue
-            t += -math.log1p(-u)
-            if t > T:
-                break
-            events.append(t)
-        factor = 1.0
-        left = 0.0
-        for right in events + [T]:
-            if right > left:
-                n = max(1, int((right - left) / h))
-                factor *= (1.0 + mu * ((right - left) / n)) ** n
-                left = right
-        total += WEAK["y0"] * WEAK["jump_scale"] ** len(events) * (factor - math.exp(mu * T))
-    return total / n_paths
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("seed, h", [(12345, 2.0**-4), (12346, 2.0**-5)])
 def test_weak_error_estimate_matches_conditional_bias(seed, h):
@@ -142,6 +115,6 @@ def test_weak_error_estimate_matches_conditional_bias(seed, h):
     est, se, used = grow_weak_error_estimate(
         built.model, built.exact, lambda y, v: y[0], h, seed, pilot=M, max_paths=M, em=built.em
     )
-    ref = weak_bias_reference(seed, h, M)
+    ref = checks.weak_bias_reference(seed, h, M, WEAK["mu"], WEAK["y0"], WEAK["jump_scale"], WEAK["horizon"])
     assert used == M
     assert abs(est - ref) < 4 * se, f"z = {(est - ref) / se:+.2f}"
