@@ -116,8 +116,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a finite [lo, hi] pair with lo <= hi, got {band!r}")
         for name in ("rel_se_target", "sup_ratio_max"):
             value = getattr(self, name)
-            if not _is_real(value) or not value > 0.0:
-                raise ConfigError(f"{name} must be a positive number, got {value!r}")
+            if not _is_real(value) or not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
         if "sweep" in experiment.keys:
             if not isinstance(self.sweep, dict) or sorted(self.sweep) != ["lambda0", "lambda1"]:
                 raise ConfigError(f"sweep must give exactly 'lambda0' and 'lambda1', got {self.sweep!r}")

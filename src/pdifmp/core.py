@@ -6,7 +6,10 @@ global dominating bound, and a Markov kernel that resamples the discrete
 mode at jump times.  The mode kernel is given by cumulative weights over an
 ordered, finite mode set, evaluated at a continuous state ``y`` and mode
 index ``v`` (``cumulative_weights``, ``sample_mode``), which enables
-inverse-CDF sampling and distribution tests.  A model also fixes its
+inverse-CDF sampling and distribution tests.  ``sample_mode`` evaluates the
+weights at every jump but checks each distinct row once per mode, so the
+weights must be pure: a row equal to the last one checked at ``v`` is
+sampled without being checked again.  A model also fixes its
 simulation window: every path starts from ``initial_state`` at time 0 and
 runs to ``horizon``.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -73,9 +77,16 @@ class CumulativeKernel:
 
     ``weights(y, v) -> [a_0, ..., a_n]`` with ``a_0 = 0``, nondecreasing,
     ``a_n = 1`` and a zero increment at the current mode (no self-jumps).
+    ``weights`` must be pure.  ``sample_mode`` calls it at every jump and
+    keeps, per mode index, a copy of the last row it checked with that
+    row's positive-mass modes and their upper cumulative weights; a list
+    equal to that copy is sampled without another check.  The cache takes
+    no part in equality or hashing.
     """
 
     weights: Callable[[tuple, int], Sequence[float]]
+    # v -> (checked float row, positive-mass modes, their upper weights)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -125,14 +136,9 @@ class PDifMPModel:
             raise ModelDefinitionError(f"kernel must be a CumulativeKernel, got {type(self.kernel).__name__}")
 
 
-def cumulative_weights(kernel: CumulativeKernel, y: tuple, v: int) -> list[float]:
-    """Evaluate and validate the cumulative kernel weights in state ``(y, v)``.
-
-    Checks: finite, a_0 = 0, nondecreasing, a_end = 1 within WEIGHT_TOL,
-    and zero increment for the current mode; a violation raises
-    ``ModelDefinitionError``.
-    """
-    a = list(map(float, kernel.weights(y, v)))
+def _checked_row(row: Sequence[float], v: int) -> list[float]:
+    """Copy ``row`` to a float list and check it as kernel weights at mode ``v``."""
+    a = list(map(float, row))
     if len(a) < 2:
         raise ModelDefinitionError(f"weights must cover at least one mode, got {a!r}")
     if a[0] != 0.0:
@@ -153,6 +159,16 @@ def cumulative_weights(kernel: CumulativeKernel, y: tuple, v: int) -> list[float
     return a
 
 
+def cumulative_weights(kernel: CumulativeKernel, y: tuple, v: int) -> list[float]:
+    """Evaluate and validate the cumulative kernel weights in state ``(y, v)``.
+
+    Checks: finite, a_0 = 0, nondecreasing, a_end = 1 within WEIGHT_TOL,
+    and zero increment for the current mode; a violation raises
+    ``ModelDefinitionError``.  Every call checks the row again.
+    """
+    return _checked_row(kernel.weights(y, v), v)
+
+
 def sample_mode(kernel: CumulativeKernel, y: tuple, v: int, u: float) -> int:
     """Draw the post-jump mode index for uniform ``u`` in [0, 1].
 
@@ -162,17 +178,26 @@ def sample_mode(kernel: CumulativeKernel, y: tuple, v: int, u: float) -> int:
     ``i`` with ``a_i < u <= a_{i+1}``; ``u = 0`` maps to the first mode with
     positive mass and ``u`` above ``a_end`` (weights ending at 1 - eps pass
     the tolerance check) to the last.
+
+    The weights are evaluated at every call.  A row is checked as in
+    ``cumulative_weights`` unless it is a list equal to the last row
+    checked at mode ``v``, so each distinct row is checked once per mode;
+    a tuple or array row is checked every time.  The weights must be pure.
     """
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"kernel uniform must lie in [0, 1], got {u!r}")
-    a = cumulative_weights(kernel, y, v)
-    # validated weights rise from 0 to about 1, so some mode has mass
-    for i in range(1, len(a)):
-        if a[i] > a[i - 1]:
-            last = i - 1
-            if u <= a[i]:
-                break
-    return last
+    row = kernel.weights(y, v)
+    entry = kernel._rows.get(v)
+    if entry is None or type(row) is not list or row != entry[0]:
+        # the entry keeps its own checked copy, never the kernel's list,
+        # which a kernel may rewrite in place before its next return
+        a = _checked_row(row, v)
+        # checked weights rise from 0 to about 1, so some mode has mass
+        modes = [i for i in range(len(a) - 1) if a[i + 1] > a[i]]
+        entry = kernel._rows[v] = (a, modes, [a[i + 1] for i in modes])
+    _, modes, uppers = entry
+    i = bisect_left(uppers, u)
+    return modes[i] if i < len(modes) else modes[-1]
 
 
 @dataclass

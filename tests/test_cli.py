@@ -145,6 +145,8 @@ def test_malformed_numeric_config_exits_64(tmp_path, experiment, overrides):
         ("convergence_example1", dict(slope_band=[math.nan, math.nan]), "slope_band"),
         ("weak_error", dict(ratio_band=[math.nan, 40.0]), "ratio_band"),
         ("convergence_example1", dict(slope_band=[0.9, 0.1]), "slope_band"),
+        ("tem_vs_tsm", dict(sup_ratio_max=math.inf), "sup_ratio_max"),
+        ("weak_error", dict(rel_se_target=math.inf), "rel_se_target"),
     ],
     ids=[
         "tem_vs_tsm_without_splitting", "weak_error_without_exact", "sweep_on_weak_test",
@@ -153,6 +155,7 @@ def test_malformed_numeric_config_exits_64(tmp_path, experiment, overrides):
         "unread_key_convergence_example1", "unread_key_convergence_example2", "unread_key_weak_error",
         "unread_key_glioma_sweep", "unread_key_tem_vs_tsm", "sweep_point_lambda0_nan",
         "h_list_inf", "slope_band_nan", "ratio_band_nan", "slope_band_inverted",
+        "sup_ratio_max_inf", "rel_se_target_inf",
     ],
 )
 def test_config_run_would_not_simulate_exits_64(tmp_path, monkeypatch, capsys, experiment, overrides, named):

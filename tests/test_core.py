@@ -108,6 +108,57 @@ def test_sample_mode_rejects_bad_uniform():
         sample_mode(flip_kernel(), (0.0,), 0, -0.1)
 
 
+def shared_row_kernel() -> tuple[CumulativeKernel, list]:
+    # rewrites one list in place from y and returns that same list each time
+    row = [0.0, 0.0, 0.0, 0.0]
+
+    def weights(y, v):
+        row[:] = y
+        return row
+
+    return CumulativeKernel(weights), row
+
+
+def test_sample_mode_rereads_a_rewritten_shared_row():
+    kernel, row = shared_row_kernel()
+    assert sample_mode(kernel, (0.0, 0.0, 1.0, 1.0), 0, 0.5) == 1
+    assert sample_mode(kernel, (0.0, 0.0, 0.0, 1.0), 0, 0.5) == 2
+    with pytest.raises(ModelDefinitionError, match="end at 1"):
+        sample_mode(kernel, (0.0, 0.0, 0.0, 0.5), 0, 0.5)
+    assert row == [0.0, 0.0, 0.0, 0.5]
+
+
+def test_sample_mode_checks_each_mode_on_its_own():
+    # [0, 0, 1, 1] is valid at mode 0 but puts all its mass on mode 1
+    kernel, _ = shared_row_kernel()
+    assert sample_mode(kernel, (0.0, 1.0, 1.0, 1.0), 1, 0.5) == 0
+    assert sample_mode(kernel, (0.0, 0.0, 1.0, 1.0), 0, 0.5) == 1
+    with pytest.raises(ModelDefinitionError, match="self-jumps are forbidden"):
+        sample_mode(kernel, (0.0, 0.0, 1.0, 1.0), 1, 0.5)
+
+
+def test_sample_mode_tuple_and_array_rows_match_the_list():
+    a = [0.0, 0.25, 0.25, 1.0]
+    forms = (list, tuple, np.array)
+    kernel = CumulativeKernel(lambda y, v: forms[int(y[0])](a))
+    for u, mode in ((0.0, 0), (0.25, 0), (0.5, 2), (1.0, 2)):
+        for form in (0, 1, 2, 0, 2, 1):
+            assert sample_mode(kernel, (float(form),), 1, u) == mode
+    bad = CumulativeKernel(lambda y, v: (0.0, 0.5, 0.5, 1.0))
+    for _ in range(2):
+        with pytest.raises(ModelDefinitionError, match="self-jumps are forbidden"):
+            sample_mode(bad, (0.0,), 0, 0.5)
+
+
+def test_kernel_row_cache_leaves_equality_and_hash():
+    weights = uniform3_kernel().weights
+    used, fresh = CumulativeKernel(weights), CumulativeKernel(weights)
+    sample_mode(used, (0.0,), 1, 0.5)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+
+
 def test_model_rejects_kernel_without_cumulative_weights():
     # a kernel in any other form, here a bare sampler, fails at construction
     # instead of at the first accepted jump
@@ -154,6 +205,43 @@ def test_sample_mode_rule_with_zero_mass_modes(masses, end, data):
         assert i == (reached[0] if reached else positive[-1])
         if 0.0 < u <= a[-1]:
             assert a[i] < u <= a[i + 1]
+
+
+def walk(a: list, u: float) -> int:
+    # the inverse-CDF walk sample_mode once ran over each freshly checked row
+    for i in range(1, len(a)):
+        if a[i] > a[i - 1]:
+            last = i - 1
+            if u <= a[i]:
+                break
+    return last
+
+
+@given(
+    masses=st.lists(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=10.0), min_size=5, max_size=5),
+        min_size=1,
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_sample_mode_matches_the_walk_on_one_kernel(masses, data):
+    # several rows share one kernel object and a few mode indices, so calls
+    # hit the per-mode cache, replace its entry and come back to it
+    rows = []
+    for m in masses:
+        v = data.draw(st.integers(min_value=0, max_value=2))
+        m[v] = 0.0
+        assume(sum(m) > 0.0)
+        end = data.draw(st.sampled_from([1.0, 1.0 - 1e-13]))
+        cum = np.cumsum(m)
+        rows.append((v, [0.0] + [float(c / cum[-1]) * end for c in cum]))
+    kernel = CumulativeKernel(lambda y, v: list(rows[y[0]][1]))
+    randoms = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=3))
+    for _ in range(2):
+        for j, (v, a) in enumerate(rows):
+            for u in (0.0, *a, *randoms, 1.0):
+                assert sample_mode(kernel, (j,), v, u) == walk(a, u)
 
 
 def test_sample_mode_reproduces_kernel_weights():
