@@ -35,8 +35,11 @@ substream ``s``.
   accept/reject decisions differ.
 * ``wiener_block(n, h)`` is the next ``n`` wiener normals times
   ``sqrt(h)`` as one float64 array, one per grid cell in time order;
-  blocks of consecutive segments concatenate to one stream.  ``h = 0``
-  gives zeros and draws nothing.
+  blocks of consecutive segments concatenate to one stream, and so do the
+  blocks a long segment is split into.  ``h = 0`` gives zeros and draws
+  nothing.  A single path that diverges draws Wiener increments only
+  through its failing block; a coupled pair draws every block of a segment
+  before either side steps it.
 
 The first three are memoised, so coupled consumers reading the same stream
 instance observe identical values at identical indices.

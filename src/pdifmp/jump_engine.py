@@ -13,19 +13,24 @@ consumers sharing one driver stream walk identical grids.
 Every path runs from the model's initial state at time 0 to the model's
 horizon: the model is the only source of the simulation window.  The grid
 never depends on the state, so a path is simulated in two parts: a plan
-(``_plan``) that yields each proposal's segment grid and Wiener block from
-the stream, and a side loop (``_run_side``) that steps one integrator over
-the plan, applies the thinning test and the jumps, and records a
-``Trajectory``.  ``simulate_path`` runs the side loop once; the two sides
-of a coupled pair run it one after the other over one materialised plan;
-``next_jump`` runs it until the first accepted proposal.
+(``_plan``) that yields each proposal's segment grid with its Wiener
+increments in blocks of at most ``_BLOCK`` cells, and a side loop
+(``_run_side``) that steps one integrator over the plan, applies the
+thinning test and the jumps, and records a ``Trajectory``.  A segment of
+more than one block draws each block from the stream only when the side
+loop reaches it, so a single path holds one block of a long segment, never
+the whole segment.  ``simulate_path`` runs the side loop once; the two
+sides of a coupled pair run it one after the other over one materialised
+plan, which holds every block of a segment; ``next_jump`` runs it until
+the first accepted proposal.
 
 A path records its start and, on each segment, the cells that
-``_recorded_cells`` names, at the segment's grid points.  Every segment is
-stepped through the integrator's ``run_cells``, one call per block of at
-most ``_BLOCK`` cells; each block's rows become one array that gives the
-recorded rows and counts the hint excursions of every cell.  At stride
-None a model without a hint keeps only each segment's end state.
+``_recorded_cells`` names, at the segment's grid points; at any stride but
+1 only those cells' times are computed, with the arithmetic of
+``JumpAdaptedGrid.points``.  Every block is stepped through the
+integrator's ``run_cells`` in one call; its rows become one array that
+gives the recorded rows and counts the hint excursions of every cell.  At
+stride None a model without a hint keeps only each segment's end state.
 
 Integrators do not check their cells; the engine decides where a path left
 the finite range.  A block whose kernel raises ``OverflowError`` or whose
@@ -54,9 +59,10 @@ from .errors import ModelDefinitionError, RateBoundError, RunawayRateError, Simu
 # Proposals a path may make before the plan raises RunawayRateError.
 PROPOSAL_CAP = 10_000_000
 
-# Cells are stepped in blocks of at most this many: a block's Wiener
-# increments become a Python list and its rows one array at once, so a long
-# segment never holds more than one block of Python floats.
+# A segment's Wiener increments are drawn, and its cells stepped, in blocks
+# of at most this many: a block's increments become a Python list and its
+# rows one array at once, so a single path's memory is bounded by one block
+# however long its segments are.
 _BLOCK = 4096
 
 
@@ -126,14 +132,15 @@ def _flow_diverged(
     reported with the state it started from, at its left end; the first
     that returns a non-finite row with that row, at its right end.
     """
-    pts = grid.points()
+    left, h_loc = grid.left, grid.h_local
     for i, dw in enumerate(dws.tolist(), start):
         try:
-            row = integrator.step(model, y, v, grid.h_local, dw)
+            row = integrator.step(model, y, v, h_loc, dw)
         except OverflowError:
-            return SimulationDivergedError(float(pts[i]), y, "overflow in the flow")
+            return SimulationDivergedError(left + h_loc * i, y, "overflow in the flow")
         if not all(map(math.isfinite, row)):
-            return SimulationDivergedError(float(pts[i + 1]), row, "flow left the finite range")
+            t = grid.right if i + 1 == grid.n_cells else left + h_loc * (i + 1)
+            return SimulationDivergedError(t, row, "flow left the finite range")
         y = row
     raise AssertionError("the block diverged, but stepping its cells one at a time did not")
 
@@ -145,14 +152,28 @@ def _check_args(h, stride) -> None:
         raise ValueError(f"stride must be a positive integer or None, got {stride!r}")
 
 
+def _wiener_blocks(stream: DriverStream, grid: JumpAdaptedGrid):
+    """Yield ``(start, dws)`` for the ``_BLOCK``-cell blocks of ``grid``,
+    each drawn when it is reached."""
+    n = grid.n_cells
+    for start in range(0, n, _BLOCK):
+        yield start, stream.wiener_block(min(_BLOCK, n - start), grid.h_local)
+
+
 def _plan(model: PDifMPModel, stream: DriverStream, h: float):
-    """Yield ``(k, t, grid, dws, tested)`` for proposals ``k = 1, 2, ...``.
+    """Yield ``(k, t, grid, blocks, tested)`` for proposals ``k = 1, 2, ...``.
 
     ``t`` is proposal ``k``'s time ``T*_k`` capped at the model's horizon,
     ``grid`` the segment from the previous event (0.0 at first) to ``t``
-    with its Wiener block ``dws`` (both None for an empty segment), and
-    ``tested`` whether the proposal lies within the horizon.  The plan ends
-    at the horizon.
+    and ``blocks`` its Wiener increments as ``(start, dws)`` pairs, ``dws``
+    the increments of cells ``start`` to ``start + len(dws) - 1`` (both
+    None for an empty segment), and ``tested`` whether the proposal lies
+    within the horizon.  The plan ends at the horizon.
+
+    ``blocks`` is a tuple of one pair for a segment of at most ``_BLOCK``
+    cells, drawn at once.  A longer segment's is a generator that draws
+    each block from the stream when it is reached, so a consumer takes every
+    block of a segment before it asks the plan for the next one.
     """
     bound = model.rate_bound
     T = model.horizon
@@ -162,7 +183,11 @@ def _plan(model: PDifMPModel, stream: DriverStream, h: float):
         t = t_star if t_star < T else T
         if t > t_prev:
             grid = JumpAdaptedGrid(t_prev, t, h)
-            yield k, t, grid, stream.wiener_block(grid.n_cells, grid.h_local), t_star <= T
+            if grid.n_cells <= _BLOCK:
+                blocks = ((0, stream.wiener_block(grid.n_cells, grid.h_local)),)
+            else:
+                blocks = _wiener_blocks(stream, grid)
+            yield k, t, grid, blocks, t_star <= T
         else:
             yield k, t, None, None, t_star <= T
         if t_star >= T:
@@ -217,17 +242,20 @@ def _run_side(
     rmin = math.inf
     rmax = -math.inf
 
-    for k, t, grid, dws, tested in plan:
+    for k, t, grid, blocks, tested in plan:
         if grid is not None:
             n = grid.n_cells
             h_loc = grid.h_local
-            if not end_only:
-                # 0-based recorded cells; at stride 1 slices keep them all
-                keep = None if stride == 1 else np.asarray(_recorded_cells(n, n_cells, stride)) - 1
-                pts = grid.points()
-                time_parts.append(pts[1:] if keep is None else pts[keep + 1])
-            # a segment of one block, the common case, skips the split
-            blocks = ((0, dws),) if n <= _BLOCK else ((s, dws[s : s + _BLOCK]) for s in range(0, n, _BLOCK))
+            if stride == 1:
+                # slices keep every cell
+                keep = None
+                time_parts.append(grid.points()[1:])
+            elif not end_only:
+                # 0-based recorded cells, at the times grid.points() gives
+                keep = np.asarray(_recorded_cells(n, n_cells, stride)) - 1
+                ts = grid.left + h_loc * (keep + 1)
+                ts[-1] = grid.right
+                time_parts.append(ts)
             for start, cells in blocks:
                 out: list[float] = []
                 try:
@@ -357,7 +385,12 @@ def simulate_coupled_pair(
     (``a`` or ``b``) and its integrator's kind.
     """
     _check_args(h, stride)
-    plan = list(_plan(model, stream, h))
+    # both sides read every block, so a segment of more than one block has
+    # its blocks drawn into a tuple before the plan draws the next segment's
+    plan = [
+        step if step[2] is None or step[2].n_cells <= _BLOCK else (*step[:3], tuple(step[3]), step[4])
+        for step in _plan(model, stream, h)
+    ]
     pair: list[Trajectory] = []
     for side, integrator in (("a", integrator_a), ("b", integrator_b)):
         try:

@@ -38,6 +38,13 @@ CASES = {
     "glioma": ("glioma", GLIOMA, 1e-2, 3.0, "splitting"),
 }
 
+# the glioma case at h = 1e-4: path 0 has segments of 8909 and 21090 cells
+# around one rejected proposal, and path 3 segments of 8157, 10933 and 6535
+# cells among four jumps; each is longer than the engine's 4096-cell block
+LONG_CASE = ("glioma", GLIOMA, 1e-4, 3.0, "splitting")
+LONG_PATHS = (0, 3)
+LONG_STRIDES = (1, 7, 1000, None)
+
 GOLDEN = {
     'example1/single/1': '0d30b07bf49fa6112984080bac638bf59854f195f15f69b1fb27b58e46e6d27e',
     'example1/single/7': 'd16c8fa312274167b87354a78425949a3c6577979772265ef549f0c693c198ce',
@@ -66,6 +73,17 @@ GOLDEN = {
     'next_jump': '04c741bc834790e33042e5988985809f47b7dca01a3893c312bd430a748db4c7',
 }
 
+LONG_GOLDEN = {
+    'single/1': '080d0445c3d5d390ed244b9fa2ace81e38f272c9170d151e5d3e50e0d302e476',
+    'single/7': 'ab6056ecf30fbccd5230f4060ec05a0b17e759d56c427d0e6c21bd7eef14ad58',
+    'single/1000': 'fc23d1a7187d34aeb6f1e788c5c15e87bf1852b9476af8926d97821f6057ae9b',
+    'single/None': '9e34311541e5dee57570abf3b6c3d53a6614d9e90e5e1ef041c906834b5c12b2',
+    'coupled/1': '7d62cee967d11066be178565281ea225ba5a5840ee45114eb35eabab30a94d0e',
+    'coupled/7': 'a0638df01ac780fa07e619337faac8b012edb5fe3a8c60995c57e07ecc40b8e0',
+    'coupled/1000': 'fe4670ba16af0de11daeb58e9c92a5e5113d28fa62f1e8c1810f5fc1cb86d09e',
+    'coupled/None': '519bc4cc4559cfe1eb8ad422c1aa7997b0f137c6329fe9ec7b5c0613a830b7f8',
+}
+
 
 def _digest(*parts) -> str:
     h = hashlib.sha256()
@@ -90,12 +108,12 @@ def _traj_parts(traj):
     )
 
 
-def _case_digest(name: str, coupled: bool, stride) -> str:
-    model_id, overrides, h, T, other = CASES[name]
+def _case_digest(case: tuple, paths: tuple, coupled: bool, stride) -> str:
+    model_id, overrides, h, T, other = case
     built = build_model(model_id, **overrides, horizon=T)
     second = getattr(built, other)
     parts = []
-    for pid in PATHS:
+    for pid in paths:
         stream = fork_for_path(SEED, pid)
         if coupled:
             a, b = simulate_coupled_pair(built.model, built.em, second, stream, h=h, stride=stride)
@@ -135,7 +153,16 @@ def _next_jump_digest() -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trajectory_hashes_replay(name, coupled, stride):
     key = f"{name}/{'coupled' if coupled else 'single'}/{stride}"
-    assert _case_digest(name, coupled, stride) == GOLDEN[key]
+    assert _case_digest(CASES[name], PATHS, coupled, stride) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("stride", LONG_STRIDES, ids=lambda s: f"stride{s}")
+@pytest.mark.parametrize("coupled", (False, True), ids=("single", "coupled"))
+def test_long_segment_hashes_replay(coupled, stride):
+    # segments of more than one block: their Wiener increments, recorded
+    # times and rows are pinned across the block boundaries
+    key = f"{'coupled' if coupled else 'single'}/{stride}"
+    assert _case_digest(LONG_CASE, LONG_PATHS, coupled, stride) == LONG_GOLDEN[key]
 
 
 def test_next_jump_hashes_replay():
@@ -148,5 +175,10 @@ if __name__ == "__main__":
         for coupled in (False, True):
             for stride in STRIDES:
                 key = f"{name}/{'coupled' if coupled else 'single'}/{stride}"
-                print(f"    {key!r}: {_case_digest(name, coupled, stride)!r},")
+                print(f"    {key!r}: {_case_digest(CASES[name], PATHS, coupled, stride)!r},")
     print(f"    'next_jump': {_next_jump_digest()!r},")
+    # the table for LONG_GOLDEN
+    for coupled in (False, True):
+        for stride in LONG_STRIDES:
+            key = f"{'coupled' if coupled else 'single'}/{stride}"
+            print(f"    {key!r}: {_case_digest(LONG_CASE, LONG_PATHS, coupled, stride)!r},")

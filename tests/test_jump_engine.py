@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,17 @@ def test_accept_threshold_arithmetic():
         accepted = [t for k, t in enumerate(times, 1) if fresh.thinning_uniform(k) * 1.0 <= 0.5]
         assert 0 < len(accepted) < len(times)
         assert traj.jump_times[1:].tolist() == accepted
+
+
+def test_accept_at_equality():
+    # the rule is U_k * rate_bound <= rate: a rate equal to U_1 * rate_bound,
+    # with U_1 read from an independently keyed Philox, accepts proposal 1
+    seed, path_id, bound = 43, 2, 0.75
+    key = np.array([seed, (path_id << 3) | 1], dtype=np.uint64)
+    u1 = np.random.Generator(np.random.Philox(key=key)).random()
+    model = constant_rate_model(rate=u1 * bound, rate_bound=bound, horizon=20.0)
+    traj = next_jump(model, EulerMaruyama(), fork_for_path(seed, path_id), h=0.5)
+    assert traj.stats.n_proposals == 1 and traj.stats.n_accepted == 1
 
 
 def test_accept_raises_on_bound_violation():
@@ -282,10 +294,11 @@ def test_block_divergence_matches_stepping(case):
     h = 0.01
     y, v = model.initial_state.y, 0
     expected = None
-    for _, _, grid, dws, _ in jump_engine._plan(model, fork_for_path(2, 0), h):
+    for _, _, grid, blocks, _ in jump_engine._plan(model, fork_for_path(2, 0), h):
         if grid is None:
             continue
         pts = grid.points()
+        dws = np.concatenate([block for _, block in blocks])
         for i, dw in enumerate(dws.tolist()):
             try:
                 row = integrator.step(model, y, v, grid.h_local, dw)
@@ -450,6 +463,30 @@ def test_stride_recording_preserves_values():
     glioma = build_model("glioma", lambda0=0.7, x0=0.9, horizon=3.0)
     lengths, full = assert_stride_recording(glioma, glioma.splitting, 1e-4)
     assert len(lengths) > 1 and full.stats.hint_excursions[0] > 0
+
+
+@pytest.mark.slow
+def test_long_segment_memory_is_bounded_by_one_block():
+    # a single path draws and steps a long segment one 4096-cell block at a
+    # time and computes only its recorded times: the traced peak of one
+    # proposal-free glioma segment of 10^5 cells at stride 1000 stays within
+    # 256 KB of that of a 2.5e4-cell segment (a whole-segment Wiener block
+    # and time grid would add about 1.6 MB)
+    def traced_peak(horizon):
+        built = build_model("glioma", lambda0=0.01, lambda1=0.0, horizon=horizon)
+        tracemalloc.start()
+        try:
+            traj = simulate_path(built.model, built.em, fork_for_path(7, 1), h=1e-4, stride=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.stats.n_proposals == 0 and len(traj.times) == traj.stats.n_cells // 1000 + 1
+        return peak, traj.stats.n_cells
+
+    traced_peak(0.1)  # numpy's and the flows' first-call set-up is not a path's
+    (short, n_short), (long, n_long) = traced_peak(2.5), traced_peak(10.0)
+    assert n_short == 25_000 and n_long == 100_000
+    assert long - short < 256 * 1024
 
 
 # -- coupling ---------------------------------------------------------------------
