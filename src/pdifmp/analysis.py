@@ -21,20 +21,7 @@ import numpy as np
 
 from .core import PDifMPModel, Trajectory
 from .drivers import DriverStream
-from .errors import CouplingBrokenError
-from .jump_engine import simulate_coupled_pair
-
-
-def _squared_distances(pair: tuple[Trajectory, Trajectory]) -> np.ndarray:
-    """Squared state distance at each grid index of a pair whose two sides
-    must share one grid."""
-    a, b = pair
-    if len(a.times) != len(b.times) or not np.array_equal(a.times, b.times):
-        raise CouplingBrokenError(
-            f"coupled trajectories disagree on the grid ({len(a.times)} vs {len(b.times)} points)"
-        )
-    d = a.values - b.values
-    return np.einsum("ij,ij->i", d, d)
+from .jump_engine import _squared_distances, simulate_coupled_pair
 
 
 def strong_error(pairs: Iterable[tuple[Trajectory, Trajectory]]) -> tuple[float, float]:
@@ -57,7 +44,14 @@ def strong_error(pairs: Iterable[tuple[Trajectory, Trajectory]]) -> tuple[float,
     pairs, divided by sqrt(paths) and by 2 * RMSE.  It is NaN for a single
     pair or a zero RMSE.
     """
-    rows = [_squared_distances(pair) for pair in pairs]
+    return strong_error_of_rows(_squared_distances(pair) for pair in pairs)
+
+
+def strong_error_of_rows(rows: Iterable[np.ndarray]) -> tuple[float, float]:
+    """``strong_error`` of coupled pairs given as their rows of per-index
+    squared distances, in path order, as ``coupled_distance_rows`` returns
+    them; the rows are summed in that order."""
+    rows = list(rows)
     if not rows:
         raise ValueError("at least one coupled pair is required")
     n = len(rows)

@@ -21,11 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import fit_slope, grow_weak_error_estimate, strong_error, sup_difference
+from .analysis import fit_slope, grow_weak_error_estimate, strong_error_of_rows, sup_difference
 from .core import Trajectory, validate_model
 from .drivers import DriverStream
 from .errors import ConfigError
-from .jump_engine import simulate_coupled_pair, simulate_path
+from .jump_engine import coupled_distance_rows, simulate_coupled_pair, simulate_path
 from .models import BuiltModel, build_model, list_model_ids
 
 # keys every experiment reads; EXPERIMENTS below lists the others each one reads
@@ -208,17 +208,12 @@ StudyResult = tuple[list[str], list[list], dict, bool]
 
 def _run_strong_convergence(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> StudyResult:
     (built,) = models
-    stream = DriverStream(cfg.seed, 0)
-
-    def level_pairs(li: int, h: float):
-        # one pair at a time: strong_error keeps a row of it, not the pair
-        for j in range(cfg.paths):
-            stream.reset(cfg.seed, li * cfg.paths + j)
-            yield simulate_coupled_pair(built.model, built.em, built.exact, stream, h=h)
-
     rows = []
     for li, h in enumerate(cfg.h_list):
-        rmse, se = strong_error(level_pairs(li, h))
+        path_ids = range(li * cfg.paths, (li + 1) * cfg.paths)
+        rmse, se = strong_error_of_rows(
+            coupled_distance_rows(built.model, built.em, built.exact, cfg.seed, path_ids, h)
+        )
         rows.append([h, rmse, se, cfg.paths])
         print(f"h={h:g} rmse={rmse:.6g} se={se:.3g} paths={cfg.paths}")
     slope, intercept = fit_slope(rows)

@@ -19,6 +19,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
+import numpy as np
+
 from .core import PDifMPModel
 
 if TYPE_CHECKING:
@@ -27,6 +29,9 @@ if TYPE_CHECKING:
 # Below this the closed form (e^x - 1)/x loses digits to cancellation; the
 # 5-term series truncation error ~ x^5/720 is below double precision there.
 _PHI1_SERIES_CUTOFF = 1e-5
+
+# Values per math.exp map in ExactGBMFlow.run_lanes.
+_EXP_CHUNK = 1024
 
 
 def phi1(xi: float) -> float:
@@ -79,6 +84,13 @@ class Integrator:
     ``OverflowError`` or return a non-finite row, and the engine treats
     either as the path's divergence.  ``step`` is the same kernel over one
     cell.
+
+    The GBM flows also have a lane form, ``run_lanes(y, h, dws)``: ``y``
+    holds the scalar states of many paths (lanes) and ``h`` their cell
+    widths, row ``i`` of ``dws`` each lane's increment over its ``i``-th
+    cell, and row ``i`` of the result each lane's state after that cell,
+    with the arithmetic of ``run_cells`` bit for bit.  The mode does not
+    enter these flows.
     """
 
     def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:
@@ -122,6 +134,24 @@ class GbmEulerMaruyama(EulerMaruyama):
             out.append(y0)
         return (y0,)
 
+    def run_lanes(self, y: np.ndarray, h: np.ndarray, dws: np.ndarray) -> np.ndarray:
+        # a lane's cells depend on each other: one cell of every lane per
+        # pass, each operation in run_cells's order
+        mul, add = np.multiply, np.add
+        mu = np.full_like(y, self.mu)
+        sigma = np.full_like(y, self.sigma)
+        drift = np.empty_like(y)
+        noise = np.empty_like(y)
+        out = np.empty(dws.shape)
+        for dw, row in zip(dws, out):
+            mul(mu, y, drift)
+            mul(drift, h, drift)
+            add(y, drift, drift)
+            mul(sigma, y, noise)
+            mul(noise, dw, noise)
+            y = add(drift, noise, row)
+        return out
+
 
 @dataclass(frozen=True)
 class ExactGBMFlow(Integrator):
@@ -144,6 +174,22 @@ class ExactGBMFlow(Integrator):
             y0 = y0 * exp(c + sigma * dw)
             out.append(y0)
         return (y0,)
+
+    def run_lanes(self, y: np.ndarray, h: np.ndarray, dws: np.ndarray) -> np.ndarray:
+        # math.exp, as run_cells: np.exp differs from it in the last bit on
+        # a few percent of arguments.  It is mapped over _EXP_CHUNK values
+        # at a time, so only that many Python floats are alive at once.  The
+        # running products down the cells are the products of run_cells.
+        acc = np.empty((len(dws) + 1, len(y)))
+        acc[0] = y
+        x = acc[1:]
+        np.multiply(self.sigma, dws, out=x)
+        x += (self.mu - 0.5 * self.sigma * self.sigma) * h
+        flat = x.reshape(-1)
+        for i in range(0, flat.size, _EXP_CHUNK):
+            part = flat[i : i + _EXP_CHUNK]
+            part[:] = np.fromiter(map(math.exp, part.tolist()), float, part.size)
+        return np.multiply.accumulate(acc, axis=0, out=acc)[1:]
 
 
 @dataclass(frozen=True)

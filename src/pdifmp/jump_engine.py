@@ -22,7 +22,18 @@ loop reaches it, so a single path holds one block of a long segment, never
 the whole segment.  ``simulate_path`` runs the side loop once; the two
 sides of a coupled pair run it one after the other over one materialised
 plan, which holds every block of a segment; ``next_jump`` runs it until
-the first accepted proposal.
+the first accepted proposal.  ``_proposal`` holds the thinning test, the
+mode sampling and the jump transform of one proposal.
+
+``coupled_distance_rows`` runs many coupled pairs of the GBM flows at
+stride 1 in lockstep, as numpy lanes, one path per lane, and reduces them
+to rows of squared distances as the strong study needs.  Each lane lays out
+its grid from its own proposal times on a pooled stream; all lanes step
+together between the cell indices where some lane's segment ends, each with
+its own local step, and run ``_proposal`` there.  A lane's draws are those
+of its scalar pair, so its row is the scalar pair's bit for bit.  A lane
+that raises or leaves the finite range sends the call to the scalar engine,
+which meets the same error in path order.
 
 A path records its start and, on each segment, the cells that
 ``_recorded_cells`` names, at the segment's grid points; at any stride but
@@ -43,18 +54,25 @@ Randomness consumption per path (see drivers): proposal waiting times in
 order; the acceptance uniform for proposal ``k`` at index ``k``; kernel
 uniforms in per-proposal pairs (mode, magnitude); one Wiener increment per
 grid cell in time order.  A path rerun with the same (seed, path_id) is
-bitwise identical.
+bitwise identical, whether it runs alone, in a pair or as a lane.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from .core import PathStats, PDifMPModel, Trajectory, sample_mode
 from .drivers import DriverStream
-from .errors import ModelDefinitionError, RateBoundError, RunawayRateError, SimulationDivergedError
+from .errors import (
+    CouplingBrokenError,
+    ModelDefinitionError,
+    RateBoundError,
+    RunawayRateError,
+    SimulationDivergedError,
+)
 
 # Proposals a path may make before the plan raises RunawayRateError.
 PROPOSAL_CAP = 10_000_000
@@ -64,6 +82,19 @@ PROPOSAL_CAP = 10_000_000
 # rows one array at once, so a single path's memory is bounded by one block
 # however long its segments are.
 _BLOCK = 4096
+
+# Lockstep lanes step in blocks of at most this many lane-cells: a block's
+# Wiener increments and both sides' states are arrays of this size, so a
+# level holds its rows and one block.  At most _LANES paths step together:
+# more lanes make the blocks narrower, and each lane draws once per block.
+_LANE_CELLS = 1 << 13
+_LANES = 128
+
+# Each lane's stream, kept across calls because a new stream costs about 13
+# re-keyings; a call re-keys every stream it uses.  The lock keeps two
+# calls off the same streams.
+_lane_pool: list[DriverStream] = []
+_lane_pool_lock = threading.Lock()
 
 
 class JumpAdaptedGrid:
@@ -160,20 +191,14 @@ def _wiener_blocks(stream: DriverStream, grid: JumpAdaptedGrid):
         yield start, stream.wiener_block(min(_BLOCK, n - start), grid.h_local)
 
 
-def _plan(model: PDifMPModel, stream: DriverStream, h: float):
-    """Yield ``(k, t, grid, blocks, tested)`` for proposals ``k = 1, 2, ...``.
+def _segments(model: PDifMPModel, stream: DriverStream, h: float):
+    """Yield ``(k, t, grid, tested)`` for proposals ``k = 1, 2, ...``.
 
     ``t`` is proposal ``k``'s time ``T*_k`` capped at the model's horizon,
-    ``grid`` the segment from the previous event (0.0 at first) to ``t``
-    and ``blocks`` its Wiener increments as ``(start, dws)`` pairs, ``dws``
-    the increments of cells ``start`` to ``start + len(dws) - 1`` (both
-    None for an empty segment), and ``tested`` whether the proposal lies
-    within the horizon.  The plan ends at the horizon.
-
-    ``blocks`` is a tuple of one pair for a segment of at most ``_BLOCK``
-    cells, drawn at once.  A longer segment's is a generator that draws
-    each block from the stream when it is reached, so a consumer takes every
-    block of a segment before it asks the plan for the next one.
+    ``grid`` the segment from the previous event (0.0 at first) to ``t``,
+    None when it is empty, and ``tested`` whether the proposal lies within
+    the horizon.  The segments end at the horizon.  Only proposal times are
+    drawn: the grid never depends on the state.
     """
     bound = model.rate_bound
     T = model.horizon
@@ -181,19 +206,59 @@ def _plan(model: PDifMPModel, stream: DriverStream, h: float):
     for k in range(1, PROPOSAL_CAP + 1):
         t_star = stream.proposal_time(k, bound)
         t = t_star if t_star < T else T
-        if t > t_prev:
-            grid = JumpAdaptedGrid(t_prev, t, h)
-            if grid.n_cells <= _BLOCK:
-                blocks = ((0, stream.wiener_block(grid.n_cells, grid.h_local)),)
-            else:
-                blocks = _wiener_blocks(stream, grid)
-            yield k, t, grid, blocks, t_star <= T
-        else:
-            yield k, t, None, None, t_star <= T
+        yield k, t, JumpAdaptedGrid(t_prev, t, h) if t > t_prev else None, t_star <= T
         if t_star >= T:
             return
         t_prev = t
     raise RunawayRateError(f"proposal cap {PROPOSAL_CAP} exceeded; rate_bound is likely far above the rate")
+
+
+def _plan(model: PDifMPModel, stream: DriverStream, h: float):
+    """Yield ``(k, t, grid, blocks, tested)``: the ``_segments`` with each
+    segment's Wiener increments.
+
+    ``blocks`` holds them as ``(start, dws)`` pairs, ``dws`` the increments
+    of cells ``start`` to ``start + len(dws) - 1`` (None for an empty
+    segment).  It is a tuple of one pair for a segment of at most ``_BLOCK``
+    cells, drawn at once.  A longer segment's is a generator that draws
+    each block from the stream when it is reached, so a consumer takes every
+    block of a segment before it asks the plan for the next one.
+    """
+    for k, t, grid, tested in _segments(model, stream, h):
+        if grid is None:
+            blocks = None
+        elif grid.n_cells <= _BLOCK:
+            blocks = ((0, stream.wiener_block(grid.n_cells, grid.h_local)),)
+        else:
+            blocks = _wiener_blocks(stream, grid)
+        yield k, t, grid, blocks, tested
+
+
+def _proposal(model: PDifMPModel, stream: DriverStream, k: int, t: float, y: tuple, v: int, jump: bool = True):
+    """Test proposal ``k`` at time ``t`` against the state ``(y, v)``.
+
+    Returns ``(rate, accepted, y, v)``; an accepted proposal has sampled
+    the new mode and applied the jump transform unless ``jump`` is false.
+    A rate that is NaN or negative raises ``ModelDefinitionError``, and one
+    above the bound ``RateBoundError`` under the bound policy "error".
+    """
+    lam = model.rate(y, v)
+    if not lam >= 0.0:
+        raise ModelDefinitionError(f"rate {lam!r} at t={t!r}, y={y!r}, v={v} is not a nonnegative number")
+    bound = model.rate_bound
+    if lam > bound and model.bound_policy == "error":
+        raise RateBoundError(lam, bound, y, v)
+    if stream.thinning_uniform(k) * bound <= lam:
+        if jump:
+            u_mode, u_mag = stream.kernel_slots(k)
+            v = sample_mode(model.kernel, y, v, u_mode)
+            n_modes = len(model.modes)
+            if v >= n_modes:
+                raise ModelDefinitionError(f"kernel sampled mode {v} at t={t!r}; the model has {n_modes} modes")
+            if model.jump_update is not None:
+                y = _apply_jump_transform(model.jump_update, y, v, u_mag, t)
+        return lam, True, y, v
+    return lam, False, y, v
 
 
 def _run_side(
@@ -214,10 +279,6 @@ def _run_side(
     y = model.initial_state.y
     v = model.initial_state.v
     bound = model.rate_bound
-    strict = model.bound_policy == "error"
-    kernel = model.kernel
-    n_modes = len(model.modes)
-    jump_update = model.jump_update
     hint = model.state_space_hint
     exc = [0] * len(hint) if hint is not None else None
     run_cells = integrator.run_cells
@@ -282,27 +343,17 @@ def _run_side(
         if not tested:
             break
         n_prop += 1
-        lam = model.rate(y, v)
-        if not lam >= 0.0:
-            raise ModelDefinitionError(f"rate {lam!r} at t={t!r}, y={y!r}, v={v} is not a nonnegative number")
+        lam, accepted, y, v = _proposal(model, stream, k, t, y, v, not first_jump)
         if lam < rmin:
             rmin = lam
         if lam > rmax:
             rmax = lam
         if lam > bound:
-            if strict:
-                raise RateBoundError(lam, bound, y, v)
             violations += 1
-        if stream.thinning_uniform(k) * bound <= lam:
+        if accepted:
             n_acc += 1
             if first_jump:
                 break
-            u_mode, u_mag = stream.kernel_slots(k)
-            v = sample_mode(kernel, y, v, u_mode)
-            if v >= n_modes:
-                raise ModelDefinitionError(f"kernel sampled mode {v} at t={t!r}; the model has {n_modes} modes")
-            if jump_update is not None:
-                y = _apply_jump_transform(jump_update, y, v, u_mag, t)
             jump_times.append(t)
             modes.append(v)
             post_jumps += y
@@ -400,3 +451,144 @@ def simulate_coupled_pair(
                 err.t, err.y, f"side {side}, {integrator.kind}: {err.detail}"
             ) from None
     return pair[0], pair[1]
+
+
+def _squared_distances(pair: tuple[Trajectory, Trajectory]) -> np.ndarray:
+    """Squared state distance at each grid index of a pair whose two sides
+    must share one grid."""
+    a, b = pair
+    if len(a.times) != len(b.times) or not np.array_equal(a.times, b.times):
+        raise CouplingBrokenError(
+            f"coupled trajectories disagree on the grid ({len(a.times)} vs {len(b.times)} points)"
+        )
+    d = a.values - b.values
+    return np.einsum("ij,ij->i", d, d)
+
+
+def coupled_distance_rows(
+    model: PDifMPModel,
+    integrator_a,
+    integrator_b,
+    seed: int,
+    path_ids,
+    h: float,
+) -> list[np.ndarray]:
+    """The rows of squared distances of the coupled pairs on the streams
+    ``(seed, path_id)``, one per path id in order.
+
+    Each row is ``_squared_distances`` of ``simulate_coupled_pair`` at
+    stride 1 on that stream, bit for bit.  When both integrators have a
+    lane form (``run_lanes``), the paths step together as lanes.  A lane
+    whose arithmetic overflows, whose model raises a ``ValueError`` or
+    ``RuntimeError`` (a rate, bound, kernel or divergence error), or that
+    ends a block non-finite sends the whole call to the scalar engine,
+    which runs the pairs in path order and so raises the error of the
+    first pair that fails.  Other integrators run on the scalar engine.
+    """
+    _check_args(h, 1)
+    path_ids = list(path_ids)
+    if hasattr(integrator_a, "run_lanes") and hasattr(integrator_b, "run_lanes"):
+        rows: list[np.ndarray] = []
+        try:
+            with _lane_pool_lock, np.errstate(over="raise", divide="raise", invalid="raise"):
+                for start in range(0, len(path_ids), _LANES):
+                    lanes = path_ids[start : start + _LANES]
+                    rows += _lockstep_rows(model, integrator_a, integrator_b, seed, lanes, h)
+            return rows
+        except (ArithmeticError, ValueError, RuntimeError):
+            pass  # the scalar engine below meets the error first in path order
+    stream = DriverStream(seed, 0)
+    rows = []
+    for path_id in path_ids:
+        stream.reset(seed, path_id)
+        rows.append(_squared_distances(simulate_coupled_pair(model, integrator_a, integrator_b, stream, h)))
+    return rows
+
+
+def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, path_ids: list, h: float):
+    """``coupled_distance_rows`` of at most ``_LANES`` paths of a scalar
+    state, stepped together.
+
+    Each lane lays out its grid from its proposal times first.  All lanes
+    then step from one cell index to the next at which some lane's segment
+    ends, each with its own local step; a lane past its last cell steps
+    zero-width padding cells that no row keeps.  At a segment end a lane
+    runs ``_proposal`` on each side, as ``_run_side`` does.  Each lane draws
+    its Wiener increments per block, in cell order.
+    """
+    n_lanes = len(path_ids)
+    while len(_lane_pool) < n_lanes:
+        _lane_pool.append(DriverStream(seed, 0))
+    streams = _lane_pool[:n_lanes]
+    # per lane, (cell index of the segment's end, k, t, tested, grid)
+    events = []
+    for stream, path_id in zip(streams, path_ids):
+        stream.reset(seed, path_id)
+        lane, end = [], 0
+        for k, t, grid, tested in _segments(model, stream, h):
+            if grid is not None:
+                end += grid.n_cells
+            lane.append((end, k, t, tested, grid))
+        events.append(lane)
+    n_cells = [lane[-1][0] for lane in events]
+    last = max(n_cells)
+    rows = np.empty((last + 1, n_lanes))
+    rows[0] = 0.0
+    (y0,) = model.initial_state.y
+    ya = np.full(n_lanes, y0)
+    yb = np.full(n_lanes, y0)
+    va = [model.initial_state.v] * n_lanes
+    vb = list(va)
+    h_lane = np.zeros(n_lanes)  # local step of each lane's segment
+    next_event = [0] * n_lanes  # index into each lane's events
+    next_end = np.zeros(n_lanes, dtype=np.int64)  # its cell index; last + 1 once done
+    next_draw = [0] * n_lanes  # index of the segment each lane draws next
+    width = max(1, _LANE_CELLS // n_lanes)
+    dws = np.empty((n_lanes, width))
+    c = block = stop = 0
+    while True:
+        for j in np.flatnonzero(next_end == c).tolist():
+            lane, i = events[j], next_event[j]
+            while i < len(lane) and lane[i][0] == c:
+                _, k, t, tested, _ = lane[i]
+                if tested:
+                    _, _, y, va[j] = _proposal(model, streams[j], k, t, (float(ya[j]),), va[j])
+                    ya[j] = y[0]
+                    _, _, y, vb[j] = _proposal(model, streams[j], k, t, (float(yb[j]),), vb[j])
+                    yb[j] = y[0]
+                i += 1
+            next_event[j] = i
+            if i < len(lane):
+                next_end[j] = lane[i][0]
+                h_lane[j] = lane[i][4].h_local
+            else:
+                next_end[j] = last + 1
+                h_lane[j] = 0.0
+        if c == last:
+            break
+        if c == stop:
+            block, stop = c, min(c + width, last)
+            dws.fill(0.0)
+            for j, lane in enumerate(events):
+                i, pos, lane_stop = next_draw[j], c, min(stop, n_cells[j])
+                while pos < lane_stop:
+                    end, grid = lane[i][0], lane[i][4]
+                    if end > pos:
+                        part = min(end, lane_stop) - pos
+                        dws[j, pos - c : pos - c + part] = streams[j].wiener_block(part, grid.h_local)
+                        pos += part
+                    if end <= pos:
+                        i += 1
+                next_draw[j] = i
+        e = min(int(next_end.min()), stop)
+        cells = dws[:, c - block : e - block].T
+        a = integrator_a.run_lanes(ya, h_lane, cells)
+        b = integrator_b.run_lanes(yb, h_lane, cells)
+        ya = a[-1].copy()
+        yb = b[-1].copy()
+        np.subtract(a, b, out=a)
+        np.multiply(a, a, out=rows[c + 1 : e + 1])
+        if not (np.isfinite(ya).all() and np.isfinite(yb).all()):
+            raise FloatingPointError("a lane left the finite range")
+        c = e
+    return [rows[: n + 1, j] for j, n in enumerate(n_cells)]

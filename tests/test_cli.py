@@ -353,6 +353,18 @@ def test_runtime_error_exits_1(tmp_path):
     assert main(["run", str(cfg)]) == 1
 
 
+def test_shipped_example1_aborts_at_seed_4_as_the_scalar_engine(tmp_path, capsys):
+    # path 0 of the first level overflows at its first jump; the lanes hand
+    # the level to the scalar engine, which names that path's error
+    repo = Path(__file__).resolve().parent.parent
+    config = repo / "configs" / "strong_order_example1.json"
+    assert main(["run", str(config), "--seed", "4", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: SimulationDivergedError: non-finite state at t=0.21786507445845232: y=(49.894375601901324,) "
+        "(side a, euler_maruyama: overflow in the continuous-state jump transform)\n"
+    )
+
+
 def test_shipped_configs_validate():
     repo = Path(__file__).resolve().parent.parent
     configs = sorted((repo / "configs").glob("*.json"))

@@ -275,6 +275,24 @@ def test_run_cells_matches_stepping(case):
     assert len(rows) == 64 * len(y0) and all(type(c) is float for c in rows)
 
 
+@pytest.mark.parametrize("case", ["gbm_em", "exact_gbm"])
+def test_run_lanes_matches_run_cells(case):
+    # each lane, with its own state, cell width and increments, gets the
+    # rows run_cells gives it, bit for bit
+    built, integrator, _ = block_cases()[case]
+    rng = np.random.default_rng(11)
+    lanes, cells = 50, 40
+    y = rng.uniform(1.0, 100.0, lanes)
+    h = rng.uniform(2.0**-9, 2.0**-3, lanes)
+    dws = rng.standard_normal((cells, lanes)) * np.sqrt(h)
+    got = integrator.run_lanes(y, h, dws)
+    assert got.shape == (cells, lanes)
+    for j in range(lanes):
+        out = []
+        integrator.run_cells(built.model, (float(y[j]),), 0, float(h[j]), dws[:, j].tolist(), out)
+        assert got[:, j].tolist() == out
+
+
 def test_splitting_and_em_converge_together():
     # with shared drivers the two discretisations approach each other as the
     # step shrinks

@@ -430,7 +430,8 @@ def test_stride_must_be_positive_or_none():
 def assert_stride_recording(built, other, h):
     """Strides 7, 1000 and None record exactly the stride-1 rows of every
     stride-th cell and every segment's last cell, and the same counts; the
-    two sides of a coupled pair with ``other`` record the same times."""
+    two sides of a coupled pair with ``other`` record the times and values
+    of single runs of each integrator at the same stride."""
     model = built.model
     plan = jump_engine._plan(model, fork_for_path(21, 0), h)
     lengths = [grid.n_cells for _, _, grid, _, _ in plan if grid is not None]
@@ -451,7 +452,10 @@ def assert_stride_recording(built, other, h):
         assert sparse.stats.n_cells == full.stats.n_cells
         assert sparse.stats.hint_excursions == full.stats.hint_excursions
         a, b = simulate_coupled_pair(model, built.em, other, fork_for_path(21, 0), h=h, stride=stride)
+        other_single = simulate_path(model, other, fork_for_path(21, 0), h=h, stride=stride)
         assert np.array_equal(a.times, sparse.times) and np.array_equal(b.times, sparse.times)
+        assert np.array_equal(a.values, sparse.values)
+        assert np.array_equal(b.values, other_single.values)
     return lengths, full
 
 
@@ -624,3 +628,143 @@ def test_engine_properties(rate_bound, rate_share, h, horizon, stride, path_id):
     simulate_path(model, em, stream, h, stride=stride)
     stream.reset(17, path_id)
     assert _trajectory_bytes(simulate_path(model, em, stream, h, stride=stride)) == _trajectory_bytes(traj)
+
+
+# -- lockstep lanes -----------------------------------------------------------------
+
+
+def scalar_rows(built, seed, path_ids, h):
+    return [
+        jump_engine._squared_distances(
+            simulate_coupled_pair(built.model, built.em, built.exact, fork_for_path(seed, pid), h=h)
+        )
+        for pid in path_ids
+    ]
+
+
+def lockstep_rows(monkeypatch, built, seed, path_ids, h):
+    """``coupled_distance_rows`` with the scalar engine out of its reach, so
+    the rows come from the lanes."""
+    def scalar(*args, **kwargs):
+        raise AssertionError("the lanes fell back to the scalar engine")
+
+    with monkeypatch.context() as m:
+        m.setattr(jump_engine, "simulate_coupled_pair", scalar)
+        return jump_engine.coupled_distance_rows(built.model, built.em, built.exact, seed, path_ids, h)
+
+
+LOCKSTEP_MODELS = {
+    "example1": ("example1", {}),
+    "example2-published": ("example2", {"as_published": True}),
+    "example2-jumps": ("example2", {"rate_value": 0.02}),
+    "weak_test": ("weak_test", {}),
+}
+
+
+@pytest.mark.parametrize("lanes", [1, 100])
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_MODELS))
+def test_lockstep_rows_match_coupled_pairs(monkeypatch, case, lanes):
+    # every lane's row is the scalar pair's, bit for bit and of its length;
+    # a small block cap makes segments cross block boundaries
+    model_id, overrides = LOCKSTEP_MODELS[case]
+    built = build_model(model_id, **overrides)
+    path_ids = range(5, 5 + lanes)
+    for h, cap in ((2.0**-5, jump_engine._LANE_CELLS), (2.0**-7, 37 * lanes)):
+        monkeypatch.setattr(jump_engine, "_LANE_CELLS", cap)
+        want = scalar_rows(built, 29, path_ids, h)
+        got = lockstep_rows(monkeypatch, built, 29, path_ids, h)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        if case == "example2-jumps" and lanes == 100:
+            # the pairs jump, so the lanes' grids are ragged
+            assert len({len(w) for w in want}) > 2
+
+
+def test_lockstep_lane_groups_and_strong_error_match(monkeypatch):
+    # lanes step in groups of at most _LANES; the rows reduce to the bits
+    # strong_error gives over the scalar pairs, summed in path order over
+    # the indices every path has
+    from pdifmp.analysis import strong_error, strong_error_of_rows
+
+    built = build_model("example2", rate_value=0.02)
+    monkeypatch.setattr(jump_engine, "_LANES", 7)
+    path_ids = range(40, 70)
+    rows = lockstep_rows(monkeypatch, built, 3, path_ids, 2.0**-6)
+    want = scalar_rows(built, 3, path_ids, 2.0**-6)
+    assert [r.tobytes() for r in rows] == [r.tobytes() for r in want]
+    pairs = (
+        simulate_coupled_pair(built.model, built.em, built.exact, fork_for_path(3, pid), h=2.0**-6)
+        for pid in path_ids
+    )
+    rmse, se = strong_error_of_rows(rows)
+    assert repr((rmse, se)) == repr(strong_error(pairs))
+    common = min(len(r) for r in want)
+    assert len({len(r) for r in want}) > 1
+    acc = np.zeros(common)
+    for r in want:
+        acc += r[:common]
+    assert rmse == float(np.sqrt(np.max(acc) / len(want)))
+
+
+def test_integrators_without_lane_form_run_on_the_scalar_engine():
+    built = build_model("glioma", lambda0=0.7, horizon=0.5)
+    got = jump_engine.coupled_distance_rows(built.model, built.em, built.splitting, 2, range(3), 0.01)
+    want = [
+        jump_engine._squared_distances(
+            simulate_coupled_pair(built.model, built.em, built.splitting, fork_for_path(2, pid), h=0.01)
+        )
+        for pid in range(3)
+    ]
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+
+
+def scalar_error(built, seed, path_ids, h) -> str:
+    with pytest.raises(Exception) as info:
+        scalar_rows(built, seed, path_ids, h)
+    return f"{type(info.value).__name__}: {info.value}"
+
+
+@pytest.mark.parametrize("lanes", [1, 100])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # sigma y dW overflows numpy's product in a few cells on every lane
+        {"sigma": 1e100},
+        # a jump factor e^eta, eta of mean 1000, overflows the jump transform
+        # at the first accepted jump; lanes jump at different times, and the
+        # error is that of the first path in path order
+        {"rate_value": 50.0, "magnitude_rate": 1e-3},
+    ],
+    ids=["flow", "jump"],
+)
+def test_lockstep_failure_raises_the_scalar_error(overrides, lanes):
+    import warnings
+
+    built = build_model("example1", **overrides)
+    path_ids = list(range(lanes, 0, -1))
+    expected = scalar_error(built, 8, path_ids, 2.0**-5)
+    assert "SimulationDivergedError" in expected
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(Exception) as info:
+            jump_engine.coupled_distance_rows(built.model, built.em, built.exact, 8, path_ids, 2.0**-5)
+    assert f"{type(info.value).__name__}: {info.value}" == expected
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+def test_lockstep_level_memory_is_its_rows_and_one_block():
+    # one 100-lane level at h = 2^-12 holds its rows, 4097 x 100 floats, and
+    # at most one capped block of lane-cells (at about 100 bytes each) above
+    # the pooled streams, which a warm-up level makes
+    built = build_model("example2", as_published=True)
+    lockstep = jump_engine.coupled_distance_rows
+    lockstep(built.model, built.em, built.exact, 5, range(100), 2.0**-6)
+    tracemalloc.start()
+    try:
+        rows = lockstep(built.model, built.em, built.exact, 5, range(100, 200), 2.0**-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(r) for r in rows] == [4097] * 100
+    assert peak - 4097 * 100 * 8 < 128 * jump_engine._LANE_CELLS
