@@ -128,6 +128,8 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} is swept, so it cannot also be set in model")
             if len(self.h_list) != 1:
                 raise ConfigError(f"a sweep runs at one step size; h_list has {len(self.h_list)} entries")
+        elif len(self.h_list) < 2:
+            raise ConfigError(f"a {self.experiment} study compares step sizes; h_list needs at least two entries")
 
     def model_kwargs(self) -> dict:
         return {k: v for k, v in self.model.items() if k != "id"}

@@ -43,9 +43,10 @@ substream ``s``.
 
 Lockstep lanes (``jump_engine.coupled_distance_rows``) give each path its
 own stream and draw per substream in the same order: all of a lane's
-proposal times first, its Wiener increments a block of cells at a time,
-and its thinning and kernel uniforms at its segment ends.  The draws of
-different substreams interleave differently, which changes no value.
+proposal times first, its Wiener increments a block of cells at a time
+(a finished lane's zeros by the ``h = 0`` rule), and its thinning and
+kernel uniforms at its segment ends.  The draws of different substreams
+interleave differently, which changes no value.
 
 The first three are memoised, so coupled consumers reading the same stream
 instance observe identical values at identical indices.

@@ -30,10 +30,11 @@ stride 1 in lockstep, as numpy lanes, one path per lane, and reduces them
 to rows of squared distances as the strong study needs.  Each lane lays out
 its grid from its own proposal times on a pooled stream; all lanes step
 together between the cell indices where some lane's segment ends, each with
-its own local step, and run ``_proposal`` there.  A lane's draws are those
-of its scalar pair, so its row is the scalar pair's bit for bit.  A lane
-that raises or leaves the finite range sends the call to the scalar engine,
-which meets the same error in path order.
+its own local step, and run ``_proposal`` there.  A finished lane steps a
+zero-width final segment, and each lane has one cursor, its next segment
+end.  A lane's draws are those of its scalar pair, so its row is the
+scalar pair's bit for bit.  A lane that raises or ends non-finite sends
+the call to the scalar engine, which meets the same error in path order.
 
 A path records its start and, on each segment, the cells that
 ``_recorded_cells`` names, at the segment's grid points; at any stride but
@@ -509,18 +510,20 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
     """``coupled_distance_rows`` of at most ``_LANES`` paths of a scalar
     state, stepped together.
 
-    Each lane lays out its grid from its proposal times first.  All lanes
+    Each lane lays out its grid from its proposal times first, as events
+    (segment end, proposal, local step) closed by a zero-width segment past
+    the level's last cell, which the lane steps once finished.  All lanes
     then step from one cell index to the next at which some lane's segment
-    ends, each with its own local step; a lane past its last cell steps
-    zero-width padding cells that no row keeps.  At a segment end a lane
-    runs ``_proposal`` on each side, as ``_run_side`` does.  Each lane draws
-    its Wiener increments per block, in cell order.
+    ends, each with its own local step; there a lane runs ``_proposal`` on
+    each side, as ``_run_side`` does.  A lane's one cursor is its next
+    event: once the events at cell ``c`` are done, it names the segment
+    holding cell ``c``, where a block starting at ``c`` begins its draws.
     """
     n_lanes = len(path_ids)
     while len(_lane_pool) < n_lanes:
         _lane_pool.append(DriverStream(seed, 0))
     streams = _lane_pool[:n_lanes]
-    # per lane, (cell index of the segment's end, k, t, tested, grid)
+    # per lane, (cell index of the segment's end, k, t, tested, its local step)
     events = []
     for stream, path_id in zip(streams, path_ids):
         stream.reset(seed, path_id)
@@ -528,10 +531,12 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
         for k, t, grid, tested in _segments(model, stream, h):
             if grid is not None:
                 end += grid.n_cells
-            lane.append((end, k, t, tested, grid))
+            lane.append((end, k, t, tested, grid.h_local if grid is not None else 0.0))
         events.append(lane)
     n_cells = [lane[-1][0] for lane in events]
     last = max(n_cells)
+    for lane in events:
+        lane.append((last + 1, None, None, False, 0.0))
     rows = np.empty((last + 1, n_lanes))
     rows[0] = 0.0
     (y0,) = model.initial_state.y
@@ -540,16 +545,15 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
     va = [model.initial_state.v] * n_lanes
     vb = list(va)
     h_lane = np.zeros(n_lanes)  # local step of each lane's segment
-    next_event = [0] * n_lanes  # index into each lane's events
-    next_end = np.zeros(n_lanes, dtype=np.int64)  # its cell index; last + 1 once done
-    next_draw = [0] * n_lanes  # index of the segment each lane draws next
+    next_event = [0] * n_lanes  # each lane's cursor into its events
+    next_end = np.zeros(n_lanes, dtype=np.int64)  # the cursor's cell index
     width = max(1, _LANE_CELLS // n_lanes)
     dws = np.empty((n_lanes, width))
     c = block = stop = 0
     while True:
         for j in np.flatnonzero(next_end == c).tolist():
             lane, i = events[j], next_event[j]
-            while i < len(lane) and lane[i][0] == c:
+            while lane[i][0] == c:
                 _, k, t, tested, _ = lane[i]
                 if tested:
                     _, _, y, va[j] = _proposal(model, streams[j], k, t, (float(ya[j]),), va[j])
@@ -558,28 +562,20 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
                     yb[j] = y[0]
                 i += 1
             next_event[j] = i
-            if i < len(lane):
-                next_end[j] = lane[i][0]
-                h_lane[j] = lane[i][4].h_local
-            else:
-                next_end[j] = last + 1
-                h_lane[j] = 0.0
+            next_end[j], h_lane[j] = lane[i][0], lane[i][4]
         if c == last:
             break
         if c == stop:
             block, stop = c, min(c + width, last)
-            dws.fill(0.0)
             for j, lane in enumerate(events):
-                i, pos, lane_stop = next_draw[j], c, min(stop, n_cells[j])
-                while pos < lane_stop:
-                    end, grid = lane[i][0], lane[i][4]
+                i, pos = next_event[j], c
+                while pos < stop:
+                    end, h_loc = lane[i][0], lane[i][4]
                     if end > pos:
-                        part = min(end, lane_stop) - pos
-                        dws[j, pos - c : pos - c + part] = streams[j].wiener_block(part, grid.h_local)
+                        part = min(end, stop) - pos
+                        dws[j, pos - c : pos - c + part] = streams[j].wiener_block(part, h_loc)
                         pos += part
-                    if end <= pos:
-                        i += 1
-                next_draw[j] = i
+                    i += 1
         e = min(int(next_end.min()), stop)
         cells = dws[:, c - block : e - block].T
         a = integrator_a.run_lanes(ya, h_lane, cells)

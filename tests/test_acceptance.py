@@ -25,9 +25,10 @@ from pdifmp import (
     sample_mode,
     simulate_coupled_pair,
     simulate_path,
-    strong_rmse,
     sup_difference,
 )
+from pdifmp.analysis import strong_error_of_rows
+from pdifmp.jump_engine import coupled_distance_rows
 
 from util import constant_rate_model, ks_statistic, uniform3_kernel
 
@@ -40,16 +41,12 @@ def announce(criterion: str, passed: bool, detail: str) -> None:
 
 
 def _strong_slope(built, h_exponents, paths):
+    # the lanes the strong study runs, on its (seed, path) keys
     rows = []
     for li, k in enumerate(h_exponents):
         h = 2.0**-k
-        pairs = (
-            simulate_coupled_pair(
-                built.model, built.em, built.exact, fork_for_path(SEED, li * paths + j), h=h
-            )
-            for j in range(paths)
-        )
-        rows.append((h, strong_rmse(pairs)))
+        dist = coupled_distance_rows(built.model, built.em, built.exact, SEED, range(li * paths, (li + 1) * paths), h)
+        rows.append((h, strong_error_of_rows(dist)[0]))
     slope, _ = fit_slope(rows)
     return slope, rows
 

@@ -125,7 +125,7 @@ def test_malformed_numeric_config_exits_64(tmp_path, experiment, overrides):
     "experiment, overrides, named",
     [
         ("tem_vs_tsm", dict(model={"id": "example2"}, h_list=[0.01, 0.005], seeds=3), "splitting"),
-        ("weak_error", dict(model={"id": "glioma"}, h_list=[0.01]), "exact"),
+        ("weak_error", dict(model={"id": "glioma"}, h_list=[0.01, 0.005]), "exact"),
         ("glioma_sweep", dict(model={"id": "weak_test"}), "lambda0"),
         ("glioma_sweep", dict(sweep={"lambda0": [0.2, 0.05], "lambda1": [0.08]}), "lambda1"),
         ("glioma_sweep", dict(sweep={"lambda0": [], "lamda1": [0.08]}), "lamda1"),
@@ -147,6 +147,9 @@ def test_malformed_numeric_config_exits_64(tmp_path, experiment, overrides):
         ("convergence_example1", dict(slope_band=[0.9, 0.1]), "slope_band"),
         ("tem_vs_tsm", dict(sup_ratio_max=math.inf), "sup_ratio_max"),
         ("weak_error", dict(rel_se_target=math.inf), "rel_se_target"),
+        ("convergence_example1", dict(h_list=[0.0625]), "h_list"),
+        ("weak_error", dict(h_list=[0.25]), "h_list"),
+        ("tem_vs_tsm", dict(h_list=[0.01]), "h_list"),
     ],
     ids=[
         "tem_vs_tsm_without_splitting", "weak_error_without_exact", "sweep_on_weak_test",
@@ -155,7 +158,7 @@ def test_malformed_numeric_config_exits_64(tmp_path, experiment, overrides):
         "unread_key_convergence_example1", "unread_key_convergence_example2", "unread_key_weak_error",
         "unread_key_glioma_sweep", "unread_key_tem_vs_tsm", "sweep_point_lambda0_nan",
         "h_list_inf", "slope_band_nan", "ratio_band_nan", "slope_band_inverted",
-        "sup_ratio_max_inf", "rel_se_target_inf",
+        "sup_ratio_max_inf", "rel_se_target_inf", "strong_one_h", "weak_one_h", "tem_vs_tsm_one_h",
     ],
 )
 def test_config_run_would_not_simulate_exits_64(tmp_path, monkeypatch, capsys, experiment, overrides, named):

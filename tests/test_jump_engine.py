@@ -665,11 +665,14 @@ LOCKSTEP_MODELS = {
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_MODELS))
 def test_lockstep_rows_match_coupled_pairs(monkeypatch, case, lanes):
     # every lane's row is the scalar pair's, bit for bit and of its length;
-    # a small block cap makes segments cross block boundaries
+    # a small block cap makes segments cross block boundaries, and a block
+    # as wide as the first lane's first segment starts the next block at
+    # that segment's end
     model_id, overrides = LOCKSTEP_MODELS[case]
     built = build_model(model_id, **overrides)
     path_ids = range(5, 5 + lanes)
-    for h, cap in ((2.0**-5, jump_engine._LANE_CELLS), (2.0**-7, 37 * lanes)):
+    first = next(jump_engine._segments(built.model, fork_for_path(29, 5), 2.0**-6))[2].n_cells
+    for h, cap in ((2.0**-5, jump_engine._LANE_CELLS), (2.0**-7, 37 * lanes), (2.0**-6, first * lanes)):
         monkeypatch.setattr(jump_engine, "_LANE_CELLS", cap)
         want = scalar_rows(built, 29, path_ids, h)
         got = lockstep_rows(monkeypatch, built, 29, path_ids, h)
