@@ -107,8 +107,10 @@ def grow_weak_error_estimate(
     keyed by ``(seed, j)``.  Starting from ``pilot`` pairs, the path count
     grows until the standard error is small relative to the estimate or
     ``max_paths`` is reached; ``pilot = max_paths = M`` gives a fixed-size
-    estimate over M pairs.  Returns (estimate, stderr, paths used).  Models
-    without a closed-form flow cannot be estimated this way.
+    estimate over M pairs.  Returns (estimate, stderr, paths used); the
+    standard error of one pair is NaN, which never meets the stopping rule,
+    so growth goes on past a one-pair pilot.  Models without a closed-form
+    flow cannot be estimated this way.
     """
     if exact_flow is None:
         raise ValueError(f"model {model.name!r} has no exact flow; weak error needs one")
@@ -141,7 +143,7 @@ def grow_weak_error_estimate(
     while True:
         mean = total / n
         var = max(total_sq / n - mean * mean, 0.0) * (n / max(n - 1, 1))
-        se = math.sqrt(var / n)
+        se = math.sqrt(var / n) if n > 1 else math.nan
         if mean != 0.0 and se <= rel_se_target * abs(mean):
             return mean, se, n
         if n >= max_paths:

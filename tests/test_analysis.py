@@ -333,6 +333,22 @@ def test_weak_error_requires_a_path_budget():
         grow_weak_error_estimate(built.model, built.exact, F_first, h=0.1, seed=1, max_paths=0, em=built.em)
 
 
+def test_weak_error_of_one_pair_has_no_standard_error():
+    # one pair has no spread to estimate: its standard error is NaN, as
+    # strong_error gives for one pair, so a one-pair pilot grows on instead
+    # of stopping on a standard error of 0
+    built = build_model("weak_test")
+    for seed in range(3):
+        est, se, used = grow_weak_error_estimate(
+            built.model, built.exact, F_first, h=0.25, seed=seed, pilot=1, max_paths=1, em=built.em
+        )
+        assert est != 0.0 and math.isnan(se) and used == 1
+        _, se, used = grow_weak_error_estimate(
+            built.model, built.exact, F_first, h=0.25, seed=seed, pilot=1, max_paths=64, em=built.em
+        )
+        assert used > 1 and se > 0.0
+
+
 @pytest.mark.slow
 def test_weak_error_jump_free_bias_halves_with_h():
     # without jumps the paired estimator targets E[euler_T] - y0 e^{mu T},

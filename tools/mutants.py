@@ -8,7 +8,7 @@ Each mutant replaces one text of one file, found there exactly once, and
 changes one line of the rule it breaks.  The script first checks every
 target, then runs the unmutated suite, then each mutant, one at a time, on
 a fresh copy of ``src/``, ``tests/``, ``bench/``, ``configs/`` (which
-the CLI tests run) and ``pyproject.toml`` under a temporary directory, with
+the CLI tests and the acceptance criteria run) and ``pyproject.toml`` under a temporary directory, with
 
     python -m pytest -m "not slow" -x -q -p no:cacheprovider
 
@@ -78,6 +78,17 @@ MUTANTS = [
      "i, pos = next_event[j], c", "i, pos = next_event[j] + 1, c"),
     ("ladder study with one step size", "src/pdifmp/cli.py",
      "elif len(self.h_list) < 2:", "elif len(self.h_list) < 1:"),
+    ("shipped weak band widened", "configs/weak_order.json",
+     "    1.4,", "    1.0,"),
+    ("flow overflow reported at the cell's right end", ENGINE,
+     'left + h_loc * i, y, "overflow in the flow"', 'left + h_loc * (i + 1), y, "overflow in the flow"'),
+    ("non-finite flow row reported at the cell's left end", ENGINE,
+     "t = grid.right if i + 1 == grid.n_cells else left + h_loc * (i + 1)",
+     "t = grid.right if i + 1 == grid.n_cells else left + h_loc * i"),
+    ("block end finite in one component", ENGINE,
+     "finite = all(map(math.isfinite, y_end))", "finite = any(map(math.isfinite, y_end))"),
+    ("lanes keep model errors from the scalar engine", ENGINE,
+     "except (ArithmeticError, ValueError, RuntimeError):", "except ArithmeticError:"),
 ]
 
 
