@@ -2,7 +2,7 @@
 
 Subcommands: ``run <config.json>``, ``validate <config.json>``,
 ``list-models``.  Outputs are deterministic per (config, seed): files are
-byte-identical across reruns.  Exit codes: 0 success,
+byte-identical across reruns and worker counts.  Exit codes: 0 success,
 2 metric outside its acceptance band, 1 runtime failure, 64 bad config.
 """
 
@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
+import os
 import statistics
 import sys
 from dataclasses import dataclass, field
@@ -200,6 +202,56 @@ def emit_plot_data(rows: list[list]) -> tuple[list[str], list[list[float]]]:
     return header, plot
 
 
+# -- path-range map ------------------------------------------------------------
+
+# the map's job while its pool runs; forked workers inherit it, since the
+# models hold closures that do not pickle
+_path_job: Callable[[int], object] | None = None
+
+
+def _worker_count(n: int) -> int:
+    """Processes a map over ``n`` paths runs on: one per core this process
+    may run on, or one where the platform has no affinity mask."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(n, len(os.sched_getaffinity(0)))
+
+
+def _run_path_range(bounds: tuple[int, int]) -> tuple[list | None, Exception | None]:
+    """A worker's results for paths ``lo..hi-1``, or its first error."""
+    try:
+        return [_path_job(i) for i in range(*bounds)], None
+    except Exception as exc:
+        return None, exc
+
+
+def _map_paths(fn: Callable[[int], object], n: int) -> list:
+    """``[fn(i) for i in range(n)]``.  Each ``fn(i)`` is pure in ``i``, so
+    contiguous index ranges run in forked worker processes and the results
+    are joined in index order; the first error in index order is raised."""
+    global _path_job
+    workers = _worker_count(n)
+    if workers <= 1:
+        return [fn(i) for i in range(n)]
+    import multiprocessing
+
+    cuts = [n * w // workers for w in range(workers + 1)]
+    _path_job = fn
+    try:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            parts = pool.map(_run_path_range, list(zip(cuts, cuts[1:])), chunksize=1)
+            pool.close()
+            pool.join()
+    finally:
+        _path_job = None
+    results = []
+    for done, error in parts:
+        if error is not None:
+            raise error
+        results.extend(done)
+    return results
+
+
 # -- experiments ---------------------------------------------------------------
 
 
@@ -266,10 +318,13 @@ def _run_glioma_sweep(cfg: ExperimentConfig, models: list[BuiltModel], out: Path
     rows = []
     ok = True
     stream = DriverStream(cfg.seed, 0)
-    for ri, built in enumerate(models):
-        lam0, lam1 = built.params.lambda0, built.params.lambda1
+
+    def path(ri: int) -> Trajectory:
         stream.reset(cfg.seed, ri)
-        traj = simulate_path(built.model, built.em, stream, h=h, stride=cfg.trajectory_stride)
+        return simulate_path(models[ri].model, models[ri].em, stream, h=h, stride=cfg.trajectory_stride)
+
+    for ri, (built, traj) in enumerate(zip(models, _map_paths(path, len(models)))):
+        lam0, lam1 = built.params.lambda0, built.params.lambda1
         stats = traj.stats
         finite = bool(np.all(np.isfinite(traj.values)))
         rate_lo = max(0.0, lam0 - lam1)
@@ -299,11 +354,13 @@ def _run_tem_vs_tsm(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) 
     rows = []
     medians = []
     stream = DriverStream(cfg.seed, 0)
+
+    def sup(s: int, h: float) -> float:
+        stream.reset(cfg.seed + s, 0)
+        return sup_difference(simulate_coupled_pair(built.model, em, tsm, stream, h=h))
+
     for h in cfg.h_list:
-        sups = []
-        for s in range(cfg.seeds):
-            stream.reset(cfg.seed + s, 0)
-            sups.append(sup_difference(simulate_coupled_pair(built.model, em, tsm, stream, h=h)))
+        sups = _map_paths(functools.partial(sup, h=h), cfg.seeds)
         med = statistics.median(sups)
         medians.append(med)
         for s, v in enumerate(sups):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each survives ``pickle`` with its message and attributes, so a study's
+worker process can hand its error to the parent."""
 
 from __future__ import annotations
 
@@ -24,6 +27,9 @@ class RateBoundError(RuntimeError):
         self.y = y
         self.v = v
 
+    def __reduce__(self):
+        return type(self), (self.rate, self.bound, self.y, self.v)
+
 
 class SimulationDivergedError(RuntimeError):
     """A path left the finite range: ``y`` is the state reported and ``t``
@@ -43,6 +49,9 @@ class SimulationDivergedError(RuntimeError):
         self.t = t
         self.y = y
         self.detail = detail
+
+    def __reduce__(self):
+        return type(self), (self.t, self.y, self.detail)
 
 
 class RunawayRateError(RuntimeError):

@@ -26,33 +26,37 @@ def run_cli(tmp_path: Path, name: str, config: dict) -> None:
     assert cli.main(["run", str(path)]) == cli.EXIT_OK
 
 
-def test_tracer_counts_paths_cells_and_draws(tmp_path):
+def test_tracer_counts_paths_cells_and_draws(tmp_path, monkeypatch):
     def patched_names():
         return jump_engine.simulate_path, jump_engine.simulate_coupled_pair, drivers.DriverStream.reset
 
     originals = patched_names()
     tracer = layers.Tracer(layers.calibrate_flows(build_model, cells=200, repeats=1))
-    tracer.install()
-    try:
-        run_cli(tmp_path, "strong", {
-            "experiment": "convergence_example2", "model": {"id": "example2"},
-            "h_list": [2.0**-4, 2.0**-5], "paths": 4, "slope_band": [-10.0, 10.0],
-        })
-        run_cli(tmp_path, "tem", {
-            "experiment": "tem_vs_tsm", "model": {"id": "glioma", "lambda0": 0.7, "horizon": 0.5},
-            "h_list": [0.01, 0.001], "seeds": 3, "sup_ratio_max": 10.0,
-        })
-    finally:
-        tracer.uninstall()
-    assert patched_names() == originals
-    metrics = tracer.metrics()
-    # one traced call per tem_vs_tsm pair, 2 x 3 seeds; the strong study's
-    # pairs step as lanes of coupled_distance_rows, which the tracer does
-    # not wrap
-    assert metrics["jump_engine.paths"] == 6
-    assert metrics["jump_engine.cells"] > 0
-    assert metrics["jump_engine.proposals"] > 0
-    assert metrics["drivers.draws"] > 0
+    # the tracer sees only calls made in its own process: tem_vs_tsm's pairs
+    # run in the parent at 1 worker and in forked workers at 2
+    for workers, pairs in ((1, 6), (2, 0)):
+        monkeypatch.setattr(cli, "_worker_count", lambda n: min(n, workers))
+        tracer.clear()
+        tracer.install()
+        try:
+            run_cli(tmp_path, f"strong-{workers}", {
+                "experiment": "convergence_example2", "model": {"id": "example2"},
+                "h_list": [2.0**-4, 2.0**-5], "paths": 4, "slope_band": [-10.0, 10.0],
+            })
+            run_cli(tmp_path, f"tem-{workers}", {
+                "experiment": "tem_vs_tsm", "model": {"id": "glioma", "lambda0": 0.7, "horizon": 0.5},
+                "h_list": [0.01, 0.001], "seeds": 3, "sup_ratio_max": 10.0,
+            })
+        finally:
+            tracer.uninstall()
+        assert patched_names() == originals
+        metrics = tracer.metrics()
+        # one traced call per tem_vs_tsm pair, 2 x 3 seeds; the strong
+        # study's pairs step as lanes of coupled_distance_rows, which the
+        # tracer does not wrap
+        assert metrics["jump_engine.paths"] == pairs, f"{workers} workers"
+        for name in ("jump_engine.cells", "jump_engine.proposals", "drivers.draws"):
+            assert (metrics[name] > 0) == (pairs > 0), f"{name} at {workers} workers"
 
 
 def test_weak_estimator_calls_coupled_pair_once_per_pair():

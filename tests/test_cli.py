@@ -1,12 +1,16 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from pdifmp import cli
 from pdifmp.cli import (
     COMMON_KEYS,
     EXIT_BAND,
@@ -17,7 +21,8 @@ from pdifmp.cli import (
     emit_plot_data,
     main,
 )
-from pdifmp.errors import ConfigError
+from pdifmp.drivers import DriverStream
+from pdifmp.errors import ConfigError, SimulationDivergedError
 
 # slim smoke configs, each with only the keys its experiment reads: the wide
 # bands keep tiny-M pipeline checks from tripping on Monte Carlo noise (the
@@ -291,17 +296,106 @@ STUDY_BYTES = {
             "trajectories/glioma_000.json": "cb9c6cc8a6ff4a64064afee5a2c148793574880df7009b5d29c5b15b7cd94da9",
             "trajectories/glioma_001.csv": "178a2728a5411c86f28bb361c029eb340d5102babc15dedf748b7284bb0482eb",
             "trajectories/glioma_001.json": "e54cc29bc2167700add3a44a4b273d2f59784af81d67e556fe06b77eac01e02f",
+            "trajectories/": "206e56d80ed3a2f5f7c304809b5595c0f7dfec924cea3fa5b5d222352955567c",
         },
     ),
 }
+# the studies that map their paths over worker processes, and the worker
+# counts their bytes are pinned at; the weak study runs in-process
+WORKER_COUNTS = {"weak_error": (1,), "tem_vs_tsm": (1, 2), "glioma_sweep": (1, 2)}
+
+
+def digest(out: Path, name: str) -> str:
+    """sha256 of a file; of a directory (``name`` ends in ``/``), sha256 of
+    its file names, each with its file's digest."""
+    if name.endswith("/"):
+        files = sorted(p.name for p in (out / name).iterdir())
+        return hashlib.sha256("".join(f"{f} {digest(out / name, f)}\n" for f in files).encode()).hexdigest()
+    return hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
+def use_workers(monkeypatch, workers: int) -> None:
+    """Map paths over at most ``workers`` processes, whatever the host has."""
+    monkeypatch.setattr(cli, "_worker_count", lambda n: min(n, workers))
 
 
 @pytest.mark.parametrize("experiment", sorted(STUDY_BYTES))
-def test_study_output_bytes(tmp_path, experiment):
+def test_study_output_bytes(tmp_path, monkeypatch, experiment):
     overrides, code, digests = STUDY_BYTES[experiment]
-    assert main(["run", str(write_config(tmp_path, experiment, **overrides))]) == code
-    out = tmp_path / "out"
-    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+    for workers in WORKER_COUNTS[experiment]:
+        use_workers(monkeypatch, workers)
+        out = tmp_path / f"out-{workers}"
+        assert main(["run", str(write_config(tmp_path, experiment, out_dir=str(out), **overrides))]) == code
+        assert {name: digest(out, name) for name in digests} == digests, f"{workers} workers"
+        assert multiprocessing.active_children() == []
+
+
+def test_path_map_joins_ranges_in_index_order(monkeypatch):
+    for workers in (1, 2, 3):
+        use_workers(monkeypatch, workers)
+        for n in (1, 2, 7):
+            assert cli._map_paths(lambda i: i * i, n) == [i * i for i in range(n)]
+    assert multiprocessing.active_children() == []
+
+
+class KeyedStream(DriverStream):
+    """A driver stream that remembers the (seed, path_id) it was keyed with."""
+
+    def reset(self, seed, path_id):
+        super().reset(seed, path_id)
+        self.key = (seed, path_id)
+
+
+# per study: overrides, the engine function it calls and the keys of the
+# paths made to diverge, one in each worker's range at 2 workers
+DIVERGING = {
+    "glioma_sweep": ({"sweep": {"lambda0": [0.2, 0.3, 0.5, 0.7], "lambda1": [0.08]}}, "simulate_path",
+                     {(7, 1), (7, 3)}),
+    "tem_vs_tsm": ({"seeds": 5}, "simulate_coupled_pair", {(8, 0), (11, 0)}),
+}
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in this process if the block runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("experiment", sorted(DIVERGING))
+def test_worker_failure_reported_as_serial(tmp_path, monkeypatch, capsys, experiment):
+    overrides, engine, bad = DIVERGING[experiment]
+    real = getattr(cli, engine)
+
+    def diverging(model, *args, **kwargs):
+        stream = next(a for a in args if isinstance(a, KeyedStream))
+        if stream.key in bad:
+            raise SimulationDivergedError(0.5, (math.inf, 0.0), f"path {stream.key}")
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "DriverStream", KeyedStream)
+    monkeypatch.setattr(cli, engine, diverging)
+    reports = []
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        with deadline(60):
+            code = main(["run", str(write_config(tmp_path, experiment, **overrides))])
+        reports.append((code, capsys.readouterr()))
+        assert multiprocessing.active_children() == []
+    (code1, serial), (code2, mapped) = reports
+    first = min(bad)
+    assert code1 == code2 == cli.EXIT_RUNTIME
+    assert serial.err == f"error: SimulationDivergedError: non-finite state at t=0.5: y=(inf, 0.0) (path {first})\n"
+    assert mapped == serial
 
 
 def test_run_band_failure_exits_2(tmp_path):

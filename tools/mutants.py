@@ -38,6 +38,7 @@ TIMEOUT_S = 600
 ENGINE = "src/pdifmp/jump_engine.py"
 FLOWS = "src/pdifmp/flows.py"
 ANALYSIS = "src/pdifmp/analysis.py"
+CLI = "src/pdifmp/cli.py"
 
 # (name, file, text found exactly once, its replacement)
 MUTANTS = [
@@ -76,7 +77,7 @@ MUTANTS = [
      "    for r in rows:\n        acc += r[:n_common]", "    for r in reversed(rows):\n        acc += r[:n_common]"),
     ("lane draw walk starts one segment late", ENGINE,
      "i, pos = next_event[j], c", "i, pos = next_event[j] + 1, c"),
-    ("ladder study with one step size", "src/pdifmp/cli.py",
+    ("ladder study with one step size", CLI,
      "elif len(self.h_list) < 2:", "elif len(self.h_list) < 1:"),
     ("shipped weak band widened", "configs/weak_order.json",
      "    1.4,", "    1.0,"),
@@ -89,6 +90,10 @@ MUTANTS = [
      "finite = all(map(math.isfinite, y_end))", "finite = any(map(math.isfinite, y_end))"),
     ("lanes keep model errors from the scalar engine", ENGINE,
      "except (ArithmeticError, ValueError, RuntimeError):", "except ArithmeticError:"),
+    ("workers' results joined in reverse range order", CLI,
+     "for done, error in parts:", "for done, error in reversed(parts):"),
+    ("each worker's range loses its last index", CLI,
+     "for i in range(*bounds)]", "for i in range(bounds[0], bounds[1] - 1)]"),
 ]
 
 
