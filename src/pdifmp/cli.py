@@ -304,7 +304,7 @@ def _run_weak_error(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) 
         rows.append([h, est, se, used])
         print(f"h={h:g} weak_error={est:.6g} se={se:.3g} paths={used} se_ok={se_ok}")
     estimates = [row[1] for row in rows]
-    ratios = [estimates[i] / estimates[i + 1] for i in range(len(estimates) - 1)]
+    ratios = [a / b if b != 0.0 else math.nan for a, b in zip(estimates, estimates[1:])]
     lo, hi = cfg.ratio_band
     ratios_ok = all(lo <= r <= hi for r in ratios)
     passed = all_se_ok and ratios_ok

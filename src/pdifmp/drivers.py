@@ -41,12 +41,12 @@ substream ``s``.
   through its failing block; a coupled pair draws every block of a segment
   before either side steps it.
 
-Lockstep lanes (``jump_engine.coupled_distance_rows``) give each path its
-own stream and draw per substream in the same order: all of a lane's
-proposal times first, its Wiener increments a block of cells at a time
-(a finished lane's zeros by the ``h = 0`` rule), and its thinning and
-kernel uniforms at its segment ends.  The draws of different substreams
-interleave differently, which changes no value.
+Lockstep lanes (``jump_engine.coupled_distance_rows``) draw per substream
+in the same order from one stream, re-keyed per path: to lay out the path's
+proposal times, then to draw its Wiener increments one segment at a time,
+then at each event that tests a proposal, which redraws the thinning and
+kernel uniforms ``1..k``.  The draws of different substreams interleave
+differently, which changes no value.
 
 The first three are memoised, so coupled consumers reading the same stream
 instance observe identical values at identical indices.

@@ -90,7 +90,8 @@ class Integrator:
     widths, row ``i`` of ``dws`` each lane's increment over its ``i``-th
     cell, and row ``i`` of the result each lane's state after that cell,
     with the arithmetic of ``run_cells`` bit for bit.  The mode does not
-    enter these flows.
+    enter these flows.  ``run_lanes`` never returns a view of ``dws``: the
+    engine overwrites the increments once both sides have read them.
     """
 
     def step(self, model: PDifMPModel, y: tuple, v: int, h: float, dw: float) -> tuple:

@@ -27,8 +27,9 @@ mode sampling and the jump transform of one proposal.
 
 ``coupled_distance_rows`` runs many coupled pairs of the GBM flows at
 stride 1 in lockstep, as numpy lanes, one path per lane, and reduces them
-to rows of squared distances as the strong study needs.  Each lane lays out
-its grid from its own proposal times on a pooled stream; all lanes step
+to rows of squared distances as the strong study needs.  One stream of the
+call, re-keyed per path, lays out each lane's grid from its proposal times
+and draws its Wiener increments into the level's rows; all lanes step
 together between the cell indices where some lane's segment ends, each with
 its own local step, and run ``_proposal`` there.  A finished lane steps a
 zero-width final segment, and each lane has one cursor, its next segment
@@ -61,7 +62,6 @@ bitwise identical, whether it runs alone, in a pair or as a lane.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -84,18 +84,12 @@ PROPOSAL_CAP = 10_000_000
 # however long its segments are.
 _BLOCK = 4096
 
-# Lockstep lanes step in blocks of at most this many lane-cells: a block's
-# Wiener increments and both sides' states are arrays of this size, so a
-# level holds its rows and one block.  At most _LANES paths step together:
-# more lanes make the blocks narrower, and each lane draws once per block.
+# Lockstep lanes step in blocks of at most this many lane-cells: both
+# sides' states over a block are arrays of this size, so a level holds its
+# rows, which hold its Wiener increments first, and one block.  At most
+# _LANES paths step together: more lanes make the blocks narrower.
 _LANE_CELLS = 1 << 13
 _LANES = 128
-
-# Each lane's stream, kept across calls because a new stream costs about 13
-# re-keyings; a call re-keys every stream it uses.  The lock keeps two
-# calls off the same streams.
-_lane_pool: list[DriverStream] = []
-_lane_pool_lock = threading.Lock()
 
 
 class JumpAdaptedGrid:
@@ -491,7 +485,7 @@ def coupled_distance_rows(
     if hasattr(integrator_a, "run_lanes") and hasattr(integrator_b, "run_lanes"):
         rows: list[np.ndarray] = []
         try:
-            with _lane_pool_lock, np.errstate(over="raise", divide="raise", invalid="raise"):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
                 for start in range(0, len(path_ids), _LANES):
                     lanes = path_ids[start : start + _LANES]
                     rows += _lockstep_rows(model, integrator_a, integrator_b, seed, lanes, h)
@@ -510,22 +504,23 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
     """``coupled_distance_rows`` of at most ``_LANES`` paths of a scalar
     state, stepped together.
 
-    Each lane lays out its grid from its proposal times first, as events
-    (segment end, proposal, local step) closed by a zero-width segment past
-    the level's last cell, which the lane steps once finished.  All lanes
-    then step from one cell index to the next at which some lane's segment
-    ends, each with its own local step; there a lane runs ``_proposal`` on
-    each side, as ``_run_side`` does.  A lane's one cursor is its next
-    event: once the events at cell ``c`` are done, it names the segment
-    holding cell ``c``, where a block starting at ``c`` begins its draws.
+    One stream, re-keyed to each lane's path in turn, first lays out the
+    lane's grid from its proposal times, as events (segment end, proposal,
+    local step) closed by a zero-width segment past the level's last cell,
+    which the lane steps once finished.  Re-keyed again, it draws each
+    segment's Wiener increments straight into the lane's column of the
+    rows, cell ``i``'s in row ``i``; a finished lane's cells stay 0.0.  All
+    lanes then step from one cell index to the next at which some lane's
+    segment ends, each with its own local step, and the stepped rows take
+    the squared distances.  There a lane that tests a proposal has the
+    stream re-keyed to its path and runs ``_proposal`` on each side, as
+    ``_run_side`` does.  A lane's one cursor is its next event.
     """
     n_lanes = len(path_ids)
-    while len(_lane_pool) < n_lanes:
-        _lane_pool.append(DriverStream(seed, 0))
-    streams = _lane_pool[:n_lanes]
+    stream = DriverStream(seed, 0)
     # per lane, (cell index of the segment's end, k, t, tested, its local step)
     events = []
-    for stream, path_id in zip(streams, path_ids):
+    for path_id in path_ids:
         stream.reset(seed, path_id)
         lane, end = [], 0
         for k, t, grid, tested in _segments(model, stream, h):
@@ -535,10 +530,15 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
         events.append(lane)
     n_cells = [lane[-1][0] for lane in events]
     last = max(n_cells)
-    for lane in events:
+    rows = np.zeros((last + 1, n_lanes))
+    for j, (path_id, lane) in enumerate(zip(path_ids, events)):
+        stream.reset(seed, path_id)
+        start = 0
+        for end, _, _, _, h_loc in lane:
+            if end > start:
+                rows[start + 1 : end + 1, j] = stream.wiener_block(end - start, h_loc)
+                start = end
         lane.append((last + 1, None, None, False, 0.0))
-    rows = np.empty((last + 1, n_lanes))
-    rows[0] = 0.0
     (y0,) = model.initial_state.y
     ya = np.full(n_lanes, y0)
     yb = np.full(n_lanes, y0)
@@ -548,42 +548,34 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
     next_event = [0] * n_lanes  # each lane's cursor into its events
     next_end = np.zeros(n_lanes, dtype=np.int64)  # the cursor's cell index
     width = max(1, _LANE_CELLS // n_lanes)
-    dws = np.empty((n_lanes, width))
-    c = block = stop = 0
+    keyed = -1  # the lane whose path the stream is keyed to
+    c = 0
     while True:
         for j in np.flatnonzero(next_end == c).tolist():
             lane, i = events[j], next_event[j]
             while lane[i][0] == c:
                 _, k, t, tested, _ = lane[i]
                 if tested:
-                    _, _, y, va[j] = _proposal(model, streams[j], k, t, (float(ya[j]),), va[j])
+                    if keyed != j:
+                        keyed = j
+                        stream.reset(seed, path_ids[j])
+                    _, _, y, va[j] = _proposal(model, stream, k, t, (float(ya[j]),), va[j])
                     ya[j] = y[0]
-                    _, _, y, vb[j] = _proposal(model, streams[j], k, t, (float(yb[j]),), vb[j])
+                    _, _, y, vb[j] = _proposal(model, stream, k, t, (float(yb[j]),), vb[j])
                     yb[j] = y[0]
                 i += 1
             next_event[j] = i
             next_end[j], h_lane[j] = lane[i][0], lane[i][4]
         if c == last:
             break
-        if c == stop:
-            block, stop = c, min(c + width, last)
-            for j, lane in enumerate(events):
-                i, pos = next_event[j], c
-                while pos < stop:
-                    end, h_loc = lane[i][0], lane[i][4]
-                    if end > pos:
-                        part = min(end, stop) - pos
-                        dws[j, pos - c : pos - c + part] = streams[j].wiener_block(part, h_loc)
-                        pos += part
-                    i += 1
-        e = min(int(next_end.min()), stop)
-        cells = dws[:, c - block : e - block].T
+        e = min(int(next_end.min()), c + width)
+        cells = rows[c + 1 : e + 1]
         a = integrator_a.run_lanes(ya, h_lane, cells)
         b = integrator_b.run_lanes(yb, h_lane, cells)
         ya = a[-1].copy()
         yb = b[-1].copy()
         np.subtract(a, b, out=a)
-        np.multiply(a, a, out=rows[c + 1 : e + 1])
+        np.multiply(a, a, out=cells)
         if not (np.isfinite(ya).all() and np.isfinite(yb).all()):
             raise FloatingPointError("a lane left the finite range")
         c = e

@@ -710,6 +710,35 @@ def test_lockstep_lane_groups_and_strong_error_match(monkeypatch):
     assert rmse == float(np.sqrt(np.max(acc) / len(want)))
 
 
+def test_lockstep_lanes_are_reentrant(monkeypatch):
+    # two threads step levels at once, and nothing serialises them: each
+    # thread's rows equal the serial rows byte for byte
+    import threading
+
+    built = build_model("example2", rate_value=0.02)
+    monkeypatch.setattr(jump_engine, "simulate_coupled_pair", None)  # the lanes may not fall back
+
+    def rows(seed):
+        got = jump_engine.coupled_distance_rows(built.model, built.em, built.exact, seed, range(150), 2.0**-7)
+        return [r.tobytes() for r in got]
+
+    want = {seed: rows(seed) for seed in (29, 31)}
+    got = {seed: [] for seed in want}
+    start = threading.Barrier(len(want))
+
+    def run(seed):
+        start.wait()
+        for _ in range(3):
+            got[seed].append(rows(seed))
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in want]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == {seed: [w] * 3 for seed, w in want.items()}
+
+
 def test_integrators_without_lane_form_run_on_the_scalar_engine():
     built = build_model("glioma", lambda0=0.7, horizon=0.5)
     got = jump_engine.coupled_distance_rows(built.model, built.em, built.splitting, 2, range(3), 0.01)
@@ -758,8 +787,8 @@ def test_lockstep_failure_raises_the_scalar_error(overrides, lanes):
 
 def test_lockstep_level_memory_is_its_rows_and_one_block():
     # one 100-lane level at h = 2^-12 holds its rows, 4097 x 100 floats, and
-    # at most one capped block of lane-cells (at about 100 bytes each) above
-    # the pooled streams, which a warm-up level makes
+    # at most one capped block of lane-cells (at about 100 bytes each); a
+    # warm-up level first makes what numpy and the drivers keep across calls
     built = build_model("example2", as_published=True)
     lockstep = jump_engine.coupled_distance_rows
     lockstep(built.model, built.em, built.exact, 5, range(100), 2.0**-6)

@@ -75,8 +75,10 @@ MUTANTS = [
      "part[:] = np.fromiter(map(math.exp, part.tolist()), float, part.size)", "part[:] = np.exp(part)"),
     ("strong rows summed in reverse path order", ANALYSIS,
      "    for r in rows:\n        acc += r[:n_common]", "    for r in reversed(rows):\n        acc += r[:n_common]"),
-    ("lane draw walk starts one segment late", ENGINE,
-     "i, pos = next_event[j], c", "i, pos = next_event[j] + 1, c"),
+    ("lane proposals read the stream of the path it was last keyed to", ENGINE,
+     "stream.reset(seed, path_ids[j])", "pass"),
+    ("lane increments drawn at the nominal step", ENGINE,
+     "stream.wiener_block(end - start, h_loc)", "stream.wiener_block(end - start, h)"),
     ("ladder study with one step size", CLI,
      "elif len(self.h_list) < 2:", "elif len(self.h_list) < 1:"),
     ("shipped weak band widened", "configs/weak_order.json",
