@@ -304,11 +304,13 @@ def _run_weak_error(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) 
         rows.append([h, est, se, used])
         print(f"h={h:g} weak_error={est:.6g} se={se:.3g} paths={used} se_ok={se_ok}")
     estimates = [row[1] for row in rows]
-    ratios = [a / b if b != 0.0 else math.nan for a, b in zip(estimates, estimates[1:])]
+    # a zero estimate leaves its ratio undefined: None (null in summary.json) fails the band
+    ratios = [a / b if b != 0.0 else None for a, b in zip(estimates, estimates[1:])]
     lo, hi = cfg.ratio_band
-    ratios_ok = all(lo <= r <= hi for r in ratios)
+    ratios_ok = None not in ratios and all(lo <= r <= hi for r in ratios)
     passed = all_se_ok and ratios_ok
-    print(f"ratios={['%.3f' % r for r in ratios]} band=[{lo}, {hi}] -> {'pass' if passed else 'FAIL'}")
+    shown = [r if r is None else "%.3f" % r for r in ratios]
+    print(f"ratios={shown} band=[{lo}, {hi}] -> {'pass' if passed else 'FAIL'}")
     summary = {"metric": "weak_error", "estimates": estimates, "ratios": ratios, "ratio_band": [lo, hi]}
     return ["h", "metric", "stderr", "paths"], rows, summary, passed
 

@@ -42,11 +42,11 @@ substream ``s``.
   before either side steps it.
 
 Lockstep lanes (``jump_engine.coupled_distance_rows``) draw per substream
-in the same order from one stream, re-keyed per path: to lay out the path's
-proposal times, then to draw its Wiener increments one segment at a time,
-then at each event that tests a proposal, which redraws the thinning and
-kernel uniforms ``1..k``.  The draws of different substreams interleave
-differently, which changes no value.
+in the same order from one stream, re-keyed per path twice: to lay out the
+path's proposal times and read the thinning and kernel uniforms of every
+proposal it tests, then to draw its Wiener increments one segment at a
+time.  The draws of different substreams interleave differently, and kernel
+uniforms of rejected proposals are drawn too, which changes no value.
 
 The first three are memoised, so coupled consumers reading the same stream
 instance observe identical values at identical indices.

@@ -28,12 +28,13 @@ mode sampling and the jump transform of one proposal.
 ``coupled_distance_rows`` runs many coupled pairs of the GBM flows at
 stride 1 in lockstep, as numpy lanes, one path per lane, and reduces them
 to rows of squared distances as the strong study needs.  One stream of the
-call, re-keyed per path, lays out each lane's grid from its proposal times
-and draws its Wiener increments into the level's rows; all lanes step
-together between the cell indices where some lane's segment ends, each with
-its own local step, and run ``_proposal`` there.  A finished lane steps a
-zero-width final segment, and each lane has one cursor, its next segment
-end.  A lane's draws are those of its scalar pair, so its row is the
+call, re-keyed per path, lays out each lane's grid from its proposal times,
+reads the thinning and kernel uniforms of the proposals it tests, and draws
+its Wiener increments into the level's rows; all lanes step together
+between the cell indices where some lane's segment ends, each with its own
+local step, and run ``_proposal`` there on the lane's uniforms.  A finished
+lane steps a zero-width final segment, and each lane has one cursor, its
+next segment end.  A lane's draws are those of its scalar pair, so its row is the
 scalar pair's bit for bit.  A lane that raises or ends non-finite sends
 the call to the scalar engine, which meets the same error in path order.
 
@@ -500,6 +501,24 @@ def coupled_distance_rows(
     return rows
 
 
+class _LaneUniforms:
+    """A lane's thinning uniforms and kernel slots of proposals ``1..n``,
+    read while the stream is keyed to its path; ``_proposal`` reads them as
+    it reads a stream."""
+
+    __slots__ = ("thinning", "kernel")
+
+    def __init__(self, stream: DriverStream, n: int) -> None:
+        self.thinning = [stream.thinning_uniform(k) for k in range(1, n + 1)]
+        self.kernel = [stream.kernel_slots(k) for k in range(1, n + 1)]
+
+    def thinning_uniform(self, k: int) -> float:
+        return self.thinning[k - 1]
+
+    def kernel_slots(self, k: int) -> tuple[float, float]:
+        return self.kernel[k - 1]
+
+
 def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, path_ids: list, h: float):
     """``coupled_distance_rows`` of at most ``_LANES`` paths of a scalar
     state, stepped together.
@@ -507,19 +526,21 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
     One stream, re-keyed to each lane's path in turn, first lays out the
     lane's grid from its proposal times, as events (segment end, proposal,
     local step) closed by a zero-width segment past the level's last cell,
-    which the lane steps once finished.  Re-keyed again, it draws each
-    segment's Wiener increments straight into the lane's column of the
-    rows, cell ``i``'s in row ``i``; a finished lane's cells stay 0.0.  All
-    lanes then step from one cell index to the next at which some lane's
-    segment ends, each with its own local step, and the stepped rows take
-    the squared distances.  There a lane that tests a proposal has the
-    stream re-keyed to its path and runs ``_proposal`` on each side, as
-    ``_run_side`` does.  A lane's one cursor is its next event.
+    which the lane steps once finished, and reads the uniforms of the
+    proposals the lane tests.  Re-keyed again, it draws each segment's
+    Wiener increments straight into the lane's column of the rows, cell
+    ``i``'s in row ``i``; a finished lane's cells stay 0.0.  All lanes then
+    step from one cell index to the next at which some lane's segment ends,
+    each with its own local step, and the stepped rows take the squared
+    distances.  There a lane that tests a proposal runs ``_proposal`` on
+    each side over its uniforms, as ``_run_side`` does over the stream.  A
+    lane's one cursor is its next event.
     """
     n_lanes = len(path_ids)
     stream = DriverStream(seed, 0)
     # per lane, (cell index of the segment's end, k, t, tested, its local step)
     events = []
+    uniforms = []
     for path_id in path_ids:
         stream.reset(seed, path_id)
         lane, end = [], 0
@@ -528,6 +549,8 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
                 end += grid.n_cells
             lane.append((end, k, t, tested, grid.h_local if grid is not None else 0.0))
         events.append(lane)
+        # every proposal but the last is tested
+        uniforms.append(_LaneUniforms(stream, k if tested else k - 1))
     n_cells = [lane[-1][0] for lane in events]
     last = max(n_cells)
     rows = np.zeros((last + 1, n_lanes))
@@ -548,7 +571,6 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
     next_event = [0] * n_lanes  # each lane's cursor into its events
     next_end = np.zeros(n_lanes, dtype=np.int64)  # the cursor's cell index
     width = max(1, _LANE_CELLS // n_lanes)
-    keyed = -1  # the lane whose path the stream is keyed to
     c = 0
     while True:
         for j in np.flatnonzero(next_end == c).tolist():
@@ -556,12 +578,10 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
             while lane[i][0] == c:
                 _, k, t, tested, _ = lane[i]
                 if tested:
-                    if keyed != j:
-                        keyed = j
-                        stream.reset(seed, path_ids[j])
-                    _, _, y, va[j] = _proposal(model, stream, k, t, (float(ya[j]),), va[j])
+                    u = uniforms[j]
+                    _, _, y, va[j] = _proposal(model, u, k, t, (float(ya[j]),), va[j])
                     ya[j] = y[0]
-                    _, _, y, vb[j] = _proposal(model, stream, k, t, (float(yb[j]),), vb[j])
+                    _, _, y, vb[j] = _proposal(model, u, k, t, (float(yb[j]),), vb[j])
                     yb[j] = y[0]
                 i += 1
             next_event[j] = i

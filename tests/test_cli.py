@@ -501,9 +501,14 @@ def test_weak_error_cli_smoke(tmp_path):
     assert len(rows) == 3
 
 
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds {name}, which strict JSON parsers reject")
+
+
 def test_weak_error_of_zero_fails_its_band_with_outputs(tmp_path, capsys):
     # with mu = sigma = 0 both sides stay at y0, so every estimate is 0: the
-    # ratio of two is NaN, which fails the band, and both files are written
+    # ratio of two is undefined, written as null, which fails the band, and
+    # both files are written as strict JSON
     cfg = write_config(
         tmp_path, "weak_error", model={"id": "weak_test", "mu": 0, "sigma": 0}, max_paths=50,
         ratio_band=[1.4, 2.8],
@@ -512,5 +517,5 @@ def test_weak_error_of_zero_fails_its_band_with_outputs(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     out = tmp_path / "out"
     assert (out / "results.csv").read_text().splitlines()[1:] == ["0.25,0.0,0.0,50", "0.125,0.0,0.0,50"]
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["estimates"] == [0.0, 0.0] and math.isnan(summary["ratios"][0]) and not summary["passed"]
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["estimates"] == [0.0, 0.0] and summary["ratios"] == [None] and not summary["passed"]

@@ -75,8 +75,8 @@ MUTANTS = [
      "part[:] = np.fromiter(map(math.exp, part.tolist()), float, part.size)", "part[:] = np.exp(part)"),
     ("strong rows summed in reverse path order", ANALYSIS,
      "    for r in rows:\n        acc += r[:n_common]", "    for r in reversed(rows):\n        acc += r[:n_common]"),
-    ("lane proposals read the stream of the path it was last keyed to", ENGINE,
-     "stream.reset(seed, path_ids[j])", "pass"),
+    ("lane proposals read the previous lane's uniforms", ENGINE,
+     "u = uniforms[j]", "u = uniforms[j - 1]"),
     ("lane increments drawn at the nominal step", ENGINE,
      "stream.wiener_block(end - start, h_loc)", "stream.wiener_block(end - start, h)"),
     ("ladder study with one step size", CLI,
