@@ -369,9 +369,11 @@ def _run_tem_vs_tsm(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) 
             rows.append([h, s, v])
         print(f"h={h:g} median_sup_difference={med:.6g} over {cfg.seeds} seeds")
     decreasing = all(medians[i] > medians[i + 1] for i in range(len(medians) - 1))
-    ratio = medians[-1] / medians[0] if medians[0] > 0 else math.inf
-    passed = decreasing and ratio <= cfg.sup_ratio_max
-    print(f"medians={['%.4g' % m for m in medians]} decreasing={decreasing} ratio={ratio:.4g}")
+    # a zero coarsest median leaves the ratio undefined: None (null in summary.json) fails the band
+    ratio = medians[-1] / medians[0] if medians[0] > 0 else None
+    passed = decreasing and ratio is not None and ratio <= cfg.sup_ratio_max
+    shown = ratio if ratio is None else "%.4g" % ratio
+    print(f"medians={['%.4g' % m for m in medians]} decreasing={decreasing} ratio={shown}")
     summary = {"medians": medians, "h_list": list(cfg.h_list), "final_over_coarsest": ratio,
                "decreasing": decreasing}
     return ["h", "seed", "sup_difference"], rows, summary, passed

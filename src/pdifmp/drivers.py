@@ -41,12 +41,14 @@ substream ``s``.
   through its failing block; a coupled pair draws every block of a segment
   before either side steps it.
 
-Lockstep lanes (``jump_engine.coupled_distance_rows``) draw per substream
-in the same order from one stream, re-keyed per path twice: to lay out the
-path's proposal times and read the thinning and kernel uniforms of every
-proposal it tests, then to draw its Wiener increments one segment at a
-time.  The draws of different substreams interleave differently, and kernel
-uniforms of rejected proposals are drawn too, which changes no value.
+Lockstep lanes (``jump_engine.coupled_distance_rows``, a level's paths as
+one lane group) draw per substream in the same order from one stream,
+re-keyed per path twice: to lay out the path's proposal times and read the
+thinning uniforms and kernel slots of every proposal it tests, which
+``_thinning_test`` and ``_jump`` then take as arguments, then to draw its
+Wiener increments one segment at a time.  The draws of different
+substreams interleave differently, and kernel uniforms of rejected
+proposals are drawn too, which changes no value.
 
 The first three are memoised, so coupled consumers reading the same stream
 instance observe identical values at identical indices.

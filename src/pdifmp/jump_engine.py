@@ -22,21 +22,26 @@ loop reaches it, so a single path holds one block of a long segment, never
 the whole segment.  ``simulate_path`` runs the side loop once; the two
 sides of a coupled pair run it one after the other over one materialised
 plan, which holds every block of a segment; ``next_jump`` runs it until
-the first accepted proposal.  ``_proposal`` holds the thinning test, the
-mode sampling and the jump transform of one proposal.
+the first accepted proposal.  A proposal is two steps, each a function of
+its uniforms: ``_thinning_test`` takes the proposal's thinning uniform and
+accepts or rejects it; ``_jump`` takes its kernel slots, samples the new
+mode and applies the jump transform.  A side reads the kernel slots only of
+an accepted proposal it applies.
 
 ``coupled_distance_rows`` runs many coupled pairs of the GBM flows at
 stride 1 in lockstep, as numpy lanes, one path per lane, and reduces them
-to rows of squared distances as the strong study needs.  One stream of the
+to rows of squared distances as the strong study needs; a call's paths,
+a whole level of the study, step as one lane group.  One stream of the
 call, re-keyed per path, lays out each lane's grid from its proposal times,
-reads the thinning and kernel uniforms of the proposals it tests, and draws
-its Wiener increments into the level's rows; all lanes step together
+reads the thinning uniforms and kernel slots of the proposals it tests, and
+draws its Wiener increments into the level's rows; all lanes step together
 between the cell indices where some lane's segment ends, each with its own
-local step, and run ``_proposal`` there on the lane's uniforms.  A finished
-lane steps a zero-width final segment, and each lane has one cursor, its
-next segment end.  A lane's draws are those of its scalar pair, so its row is the
-scalar pair's bit for bit.  A lane that raises or ends non-finite sends
-the call to the scalar engine, which meets the same error in path order.
+local step, and run ``_thinning_test`` and ``_jump`` there on the lane's
+uniforms.  A finished lane steps a zero-width final segment, and each lane
+has one cursor, its next segment end.  A lane's draws are those of its
+scalar pair, so its row is the scalar pair's bit for bit.  A lane that
+raises or ends non-finite sends the call to the scalar engine, which meets
+the same error in path order.
 
 A path records its start and, on each segment, the cells that
 ``_recorded_cells`` names, at the segment's grid points; at any stride but
@@ -87,10 +92,9 @@ _BLOCK = 4096
 
 # Lockstep lanes step in blocks of at most this many lane-cells: both
 # sides' states over a block are arrays of this size, so a level holds its
-# rows, which hold its Wiener increments first, and one block.  At most
-# _LANES paths step together: more lanes make the blocks narrower.
+# rows, which hold its Wiener increments first, and one block: more lanes
+# make the blocks narrower.
 _LANE_CELLS = 1 << 13
-_LANES = 128
 
 
 class JumpAdaptedGrid:
@@ -133,19 +137,6 @@ def _recorded_cells(n: int, done: int, stride: int | None) -> list[int]:
     cells = list(range(stride - done % stride, n, stride))
     cells.append(n)
     return cells
-
-
-def _apply_jump_transform(jump_update, y: tuple, v_new: int, u_mag: float, t: float) -> tuple:
-    try:
-        out = jump_update(y, v_new, u_mag)
-    except OverflowError:
-        raise SimulationDivergedError(t, y, "overflow in the continuous-state jump transform") from None
-    if len(out) != len(y):
-        raise ModelDefinitionError(f"jump transform returned {out!r} at t={t!r} for the state {y!r}")
-    for c in out:
-        if not math.isfinite(c):
-            raise SimulationDivergedError(t, out, "jump transform left the finite range")
-    return out
 
 
 def _flow_diverged(
@@ -230,11 +221,11 @@ def _plan(model: PDifMPModel, stream: DriverStream, h: float):
         yield k, t, grid, blocks, tested
 
 
-def _proposal(model: PDifMPModel, stream: DriverStream, k: int, t: float, y: tuple, v: int, jump: bool = True):
-    """Test proposal ``k`` at time ``t`` against the state ``(y, v)``.
+def _thinning_test(model: PDifMPModel, u: float, t: float, y: tuple, v: int) -> tuple[float, bool]:
+    """``(rate, accepted)`` of a proposal at time ``t`` against the state
+    ``(y, v)``, with its thinning uniform ``u``: accepted when
+    ``u * rate_bound <= rate``.
 
-    Returns ``(rate, accepted, y, v)``; an accepted proposal has sampled
-    the new mode and applied the jump transform unless ``jump`` is false.
     A rate that is NaN or negative raises ``ModelDefinitionError``, and one
     above the bound ``RateBoundError`` under the bound policy "error".
     """
@@ -244,17 +235,30 @@ def _proposal(model: PDifMPModel, stream: DriverStream, k: int, t: float, y: tup
     bound = model.rate_bound
     if lam > bound and model.bound_policy == "error":
         raise RateBoundError(lam, bound, y, v)
-    if stream.thinning_uniform(k) * bound <= lam:
-        if jump:
-            u_mode, u_mag = stream.kernel_slots(k)
-            v = sample_mode(model.kernel, y, v, u_mode)
-            n_modes = len(model.modes)
-            if v >= n_modes:
-                raise ModelDefinitionError(f"kernel sampled mode {v} at t={t!r}; the model has {n_modes} modes")
-            if model.jump_update is not None:
-                y = _apply_jump_transform(model.jump_update, y, v, u_mag, t)
-        return lam, True, y, v
-    return lam, False, y, v
+    return lam, u * bound <= lam
+
+
+def _jump(model: PDifMPModel, slots: tuple[float, float], t: float, y: tuple, v: int) -> tuple[tuple, int]:
+    """The state ``(y, v)`` after a jump at time ``t``, with the proposal's
+    kernel slots ``(mode uniform, magnitude uniform)``: the kernel samples
+    the new mode, then the jump transform, if any, rescales ``y``."""
+    u_mode, u_mag = slots
+    v = sample_mode(model.kernel, y, v, u_mode)
+    n_modes = len(model.modes)
+    if v >= n_modes:
+        raise ModelDefinitionError(f"kernel sampled mode {v} at t={t!r}; the model has {n_modes} modes")
+    if model.jump_update is None:
+        return y, v
+    try:
+        out = model.jump_update(y, v, u_mag)
+    except OverflowError:
+        raise SimulationDivergedError(t, y, "overflow in the continuous-state jump transform") from None
+    if len(out) != len(y):
+        raise ModelDefinitionError(f"jump transform returned {out!r} at t={t!r} for the state {y!r}")
+    for c in out:
+        if not math.isfinite(c):
+            raise SimulationDivergedError(t, out, "jump transform left the finite range")
+    return out, v
 
 
 def _run_side(
@@ -339,7 +343,7 @@ def _run_side(
         if not tested:
             break
         n_prop += 1
-        lam, accepted, y, v = _proposal(model, stream, k, t, y, v, not first_jump)
+        lam, accepted = _thinning_test(model, stream.thinning_uniform(k), t, y, v)
         if lam < rmin:
             rmin = lam
         if lam > rmax:
@@ -350,6 +354,7 @@ def _run_side(
             n_acc += 1
             if first_jump:
                 break
+            y, v = _jump(model, stream.kernel_slots(k), t, y, v)
             jump_times.append(t)
             modes.append(v)
             post_jumps += y
@@ -474,23 +479,19 @@ def coupled_distance_rows(
 
     Each row is ``_squared_distances`` of ``simulate_coupled_pair`` at
     stride 1 on that stream, bit for bit.  When both integrators have a
-    lane form (``run_lanes``), the paths step together as lanes.  A lane
-    whose arithmetic overflows, whose model raises a ``ValueError`` or
-    ``RuntimeError`` (a rate, bound, kernel or divergence error), or that
-    ends a block non-finite sends the whole call to the scalar engine,
-    which runs the pairs in path order and so raises the error of the
-    first pair that fails.  Other integrators run on the scalar engine.
+    lane form (``run_lanes``), all the paths step together as one group of
+    lanes.  A lane whose arithmetic overflows, whose model raises a
+    ``ValueError`` or ``RuntimeError`` (a rate, bound, kernel or divergence
+    error), or that ends a block non-finite sends the whole call to the
+    scalar engine, which runs the pairs in path order and so raises the
+    error of the first pair that fails.  Other integrators run on the scalar engine.
     """
     _check_args(h, 1)
     path_ids = list(path_ids)
     if hasattr(integrator_a, "run_lanes") and hasattr(integrator_b, "run_lanes"):
-        rows: list[np.ndarray] = []
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                for start in range(0, len(path_ids), _LANES):
-                    lanes = path_ids[start : start + _LANES]
-                    rows += _lockstep_rows(model, integrator_a, integrator_b, seed, lanes, h)
-            return rows
+                return _lockstep_rows(model, integrator_a, integrator_b, seed, path_ids, h)
         except (ArithmeticError, ValueError, RuntimeError):
             pass  # the scalar engine below meets the error first in path order
     stream = DriverStream(seed, 0)
@@ -501,46 +502,31 @@ def coupled_distance_rows(
     return rows
 
 
-class _LaneUniforms:
-    """A lane's thinning uniforms and kernel slots of proposals ``1..n``,
-    read while the stream is keyed to its path; ``_proposal`` reads them as
-    it reads a stream."""
-
-    __slots__ = ("thinning", "kernel")
-
-    def __init__(self, stream: DriverStream, n: int) -> None:
-        self.thinning = [stream.thinning_uniform(k) for k in range(1, n + 1)]
-        self.kernel = [stream.kernel_slots(k) for k in range(1, n + 1)]
-
-    def thinning_uniform(self, k: int) -> float:
-        return self.thinning[k - 1]
-
-    def kernel_slots(self, k: int) -> tuple[float, float]:
-        return self.kernel[k - 1]
-
-
 def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, path_ids: list, h: float):
-    """``coupled_distance_rows`` of at most ``_LANES`` paths of a scalar
-    state, stepped together.
+    """``coupled_distance_rows`` of paths of a scalar state, all stepped
+    together.
 
     One stream, re-keyed to each lane's path in turn, first lays out the
     lane's grid from its proposal times, as events (segment end, proposal,
     local step) closed by a zero-width segment past the level's last cell,
-    which the lane steps once finished, and reads the uniforms of the
-    proposals the lane tests.  Re-keyed again, it draws each segment's
-    Wiener increments straight into the lane's column of the rows, cell
-    ``i``'s in row ``i``; a finished lane's cells stay 0.0.  All lanes then
-    step from one cell index to the next at which some lane's segment ends,
-    each with its own local step, and the stepped rows take the squared
-    distances.  There a lane that tests a proposal runs ``_proposal`` on
-    each side over its uniforms, as ``_run_side`` does over the stream.  A
+    which the lane steps once finished, and reads the thinning uniforms and
+    kernel slots of the proposals the lane tests into two lists.  Re-keyed
+    again, it draws each segment's Wiener increments straight into the
+    lane's column of the rows, cell ``i``'s in row ``i``; a finished lane's
+    cells stay 0.0.  All lanes then step from one cell index to the next at
+    which some lane's segment ends, each with its own local step, and the
+    stepped rows take the squared distances.  There a lane that tests a proposal runs, on side a and then
+    side b, ``_thinning_test`` on its thinning uniform and, if accepted,
+    ``_jump`` on its kernel slots, as ``_run_side`` does over the stream.  A
     lane's one cursor is its next event.
     """
     n_lanes = len(path_ids)
     stream = DriverStream(seed, 0)
     # per lane, (cell index of the segment's end, k, t, tested, its local step)
     events = []
-    uniforms = []
+    # per lane, the thinning uniforms and kernel slots of proposals 1, 2, ...
+    thinning = []
+    kernel = []
     for path_id in path_ids:
         stream.reset(seed, path_id)
         lane, end = [], 0
@@ -550,7 +536,9 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
             lane.append((end, k, t, tested, grid.h_local if grid is not None else 0.0))
         events.append(lane)
         # every proposal but the last is tested
-        uniforms.append(_LaneUniforms(stream, k if tested else k - 1))
+        tested_k = range(1, k + 1 if tested else k)
+        thinning.append([stream.thinning_uniform(i) for i in tested_k])
+        kernel.append([stream.kernel_slots(i) for i in tested_k])
     n_cells = [lane[-1][0] for lane in events]
     last = max(n_cells)
     rows = np.zeros((last + 1, n_lanes))
@@ -578,11 +566,11 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
             while lane[i][0] == c:
                 _, k, t, tested, _ = lane[i]
                 if tested:
-                    u = uniforms[j]
-                    _, _, y, va[j] = _proposal(model, u, k, t, (float(ya[j]),), va[j])
-                    ya[j] = y[0]
-                    _, _, y, vb[j] = _proposal(model, u, k, t, (float(yb[j]),), vb[j])
-                    yb[j] = y[0]
+                    u, slots = thinning[j][k - 1], kernel[j][k - 1]
+                    for ys, vs in ((ya, va), (yb, vb)):
+                        y, v = (float(ys[j]),), vs[j]
+                        if _thinning_test(model, u, t, y, v)[1]:
+                            (ys[j],), vs[j] = _jump(model, slots, t, y, v)
                 i += 1
             next_event[j] = i
             next_end[j], h_lane[j] = lane[i][0], lane[i][4]

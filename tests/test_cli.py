@@ -519,3 +519,13 @@ def test_weak_error_of_zero_fails_its_band_with_outputs(tmp_path, capsys):
     assert (out / "results.csv").read_text().splitlines()[1:] == ["0.25,0.0,0.0,50", "0.125,0.0,0.0,50"]
     summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
     assert summary["estimates"] == [0.0, 0.0] and summary["ratios"] == [None] and not summary["passed"]
+
+
+def test_tem_vs_tsm_of_zero_fails_its_band_with_strict_json(tmp_path, monkeypatch):
+    # every sup difference 0 makes the coarsest median 0: the final over
+    # coarsest ratio is undefined, written as null, which fails the band
+    monkeypatch.setattr(cli, "sup_difference", lambda pair: 0.0)
+    cfg = write_config(tmp_path, "tem_vs_tsm", model={"id": "glioma", "horizon": 0.5}, h_list=[0.02, 0.01], seeds=3)
+    assert main(["run", str(cfg)]) == EXIT_BAND
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["medians"] == [0.0, 0.0] and summary["final_over_coarsest"] is None and not summary["passed"]

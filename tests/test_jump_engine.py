@@ -19,12 +19,13 @@ from pdifmp import (
     simulate_coupled_pair,
     simulate_path,
 )
-from pdifmp import GliomaSplitting, jump_engine
+from pdifmp import GliomaSplitting, ModeSet, jump_engine
+from pdifmp.core import sample_mode
 from pdifmp.errors import CounterOverflowError, ModelDefinitionError, RateBoundError, RunawayRateError
 from pdifmp.flows import GbmEulerMaruyama, GliomaEulerMaruyama
 from pdifmp.models import GliomaParams
 
-from util import constant_rate_model, ks_statistic
+from util import constant_rate_model, ks_statistic, uniform3_kernel
 
 
 # -- jump-adapted grid -----------------------------------------------------------
@@ -190,6 +191,23 @@ def test_apply_jump_exponential_magnitude():
             u = fresh.kernel_slots(times.index(t) + 1)[1]
             pre = traj.values[np.searchsorted(traj.times, t), 0]
             assert traj.post_jump_values[n, 0] == pre * math.exp(-math.log1p(-u) / 0.5)
+
+
+def test_apply_jump_samples_the_mode_with_the_mode_uniform():
+    # the kernel is uniform over the three other modes, and every proposal
+    # is accepted: jump k's mode is the one proposal k's mode uniform picks
+    model = dataclasses.replace(
+        constant_rate_model(rate=1.0, rate_bound=1.0, horizon=20.0),
+        modes=ModeSet((0, 1, 2, 3)),
+        kernel=uniform3_kernel(),
+    )
+    traj = simulate_path(model, EulerMaruyama(), fork_for_path(53, 0), h=0.5, stride=None)
+    fresh = fork_for_path(53, 0)
+    modes = traj.interval_modes.tolist()
+    assert len(modes) > 10
+    for k in range(1, len(modes)):
+        u_mode, _ = fresh.kernel_slots(k)
+        assert modes[k] == sample_mode(model.kernel, (1.0,), modes[k - 1], u_mode)
 
 
 # -- next_jump --------------------------------------------------------------------
@@ -684,20 +702,20 @@ def test_lockstep_rows_match_coupled_pairs(monkeypatch, case, lanes):
             assert len({len(w) for w in want}) > 2
 
 
-def test_lockstep_lane_groups_and_strong_error_match(monkeypatch):
-    # lanes step in groups of at most _LANES; the rows reduce to the bits
-    # strong_error gives over the scalar pairs, summed in path order over
-    # the indices every path has
+def test_lockstep_wide_level_and_strong_error_match(monkeypatch):
+    # a level of 300 paths steps as one group of lanes; the rows reduce to
+    # the bits strong_error gives over the scalar pairs, summed in path
+    # order over the indices every path has
     from pdifmp.analysis import strong_error, strong_error_of_rows
 
     built = build_model("example2", rate_value=0.02)
-    monkeypatch.setattr(jump_engine, "_LANES", 7)
-    path_ids = range(40, 70)
-    rows = lockstep_rows(monkeypatch, built, 3, path_ids, 2.0**-6)
-    want = scalar_rows(built, 3, path_ids, 2.0**-6)
+    path_ids = range(40, 340)
+    h = 2.0**-7
+    rows = lockstep_rows(monkeypatch, built, 3, path_ids, h)
+    want = scalar_rows(built, 3, path_ids, h)
     assert [r.tobytes() for r in rows] == [r.tobytes() for r in want]
     pairs = (
-        simulate_coupled_pair(built.model, built.em, built.exact, fork_for_path(3, pid), h=2.0**-6)
+        simulate_coupled_pair(built.model, built.em, built.exact, fork_for_path(3, pid), h=h)
         for pid in path_ids
     )
     rmse, se = strong_error_of_rows(rows)

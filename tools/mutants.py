@@ -68,7 +68,7 @@ MUTANTS = [
     ("standard error from the previous column", ANALYSIS,
      "column = np.array([r[worst] for r in rows])", "column = np.array([r[worst - 1] for r in rows])"),
     ("thinning accepts only below the rate", ENGINE,
-     "if stream.thinning_uniform(k) * bound <= lam:", "if stream.thinning_uniform(k) * bound < lam:"),
+     "return lam, u * bound <= lam", "return lam, u * bound < lam"),
     ("mode sampling with bisect_right", "src/pdifmp/core.py",
      "from bisect import bisect_left", "from bisect import bisect_right as bisect_left"),
     ("lane exact flow with np.exp", FLOWS,
@@ -76,7 +76,11 @@ MUTANTS = [
     ("strong rows summed in reverse path order", ANALYSIS,
      "    for r in rows:\n        acc += r[:n_common]", "    for r in reversed(rows):\n        acc += r[:n_common]"),
     ("lane proposals read the previous lane's uniforms", ENGINE,
-     "u = uniforms[j]", "u = uniforms[j - 1]"),
+     "u, slots = thinning[j][k - 1], kernel[j][k - 1]", "u, slots = thinning[j - 1][k - 1], kernel[j - 1][k - 1]"),
+    ("lane side b tests side a's state", ENGINE,
+     "if _thinning_test(model, u, t, y, v)[1]:", "if _thinning_test(model, u, t, (float(ya[j]),), v)[1]:"),
+    ("magnitude uniform used as the mode uniform", ENGINE,
+     "v = sample_mode(model.kernel, y, v, u_mode)", "v = sample_mode(model.kernel, y, v, u_mag)"),
     ("lane increments drawn at the nominal step", ENGINE,
      "stream.wiener_block(end - start, h_loc)", "stream.wiener_block(end - start, h)"),
     ("ladder study with one step size", CLI,
