@@ -217,39 +217,31 @@ def _worker_count(n: int) -> int:
     return min(n, len(os.sched_getaffinity(0)))
 
 
-def _run_path_range(bounds: tuple[int, int]) -> tuple[list | None, Exception | None]:
-    """A worker's results for paths ``lo..hi-1``, or its first error."""
-    try:
-        return [_path_job(i) for i in range(*bounds)], None
-    except Exception as exc:
-        return None, exc
+def _run_path_range(bounds: tuple[int, int]) -> list:
+    """A worker's results for paths ``lo..hi-1``."""
+    return [_path_job(i) for i in range(*bounds)]
 
 
 def _map_paths(fn: Callable[[int], object], n: int) -> list:
     """``[fn(i) for i in range(n)]``.  Each ``fn(i)`` is pure in ``i``, so
-    contiguous index ranges run in forked worker processes and the results
-    are joined in index order; the first error in index order is raised."""
+    contiguous index ranges run in forked worker processes.  The pool yields
+    the ranges in index order, so the results are joined in index order and
+    the earliest failing range raises first, which is the first error in
+    index order.  A worker that dies raises ``BrokenProcessPool``."""
     global _path_job
     workers = _worker_count(n)
     if workers <= 1:
         return [fn(i) for i in range(n)]
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     cuts = [n * w // workers for w in range(workers + 1)]
     _path_job = fn
     try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_run_path_range, list(zip(cuts, cuts[1:])), chunksize=1)
-            pool.close()
-            pool.join()
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return [result for part in pool.map(_run_path_range, zip(cuts, cuts[1:])) for result in part]
     finally:
         _path_job = None
-    results = []
-    for done, error in parts:
-        if error is not None:
-            raise error
-        results.extend(done)
-    return results
 
 
 # -- experiments ---------------------------------------------------------------

@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import signal
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -396,6 +398,30 @@ def test_worker_failure_reported_as_serial(tmp_path, monkeypatch, capsys, experi
     assert code1 == code2 == cli.EXIT_RUNTIME
     assert serial.err == f"error: SimulationDivergedError: non-finite state at t=0.5: y=(inf, 0.0) (path {first})\n"
     assert mapped == serial
+
+
+def test_dead_worker_ends_the_run(tmp_path, monkeypatch, capsys):
+    # os._exit in the pytest process itself would end pytest, so the
+    # map always runs at 2 workers here: paths 5 and 1 are in the second range
+    use_workers(monkeypatch, 2)
+    with deadline(30), pytest.raises(BrokenProcessPool):
+        cli._map_paths(lambda i: os._exit(3) if i == 5 else i, 8)
+    assert multiprocessing.active_children() == []
+
+    real = cli.simulate_path
+
+    def dying(model, em, stream, **kwargs):
+        if stream.key == (7, 1):
+            os._exit(3)
+        return real(model, em, stream, **kwargs)
+
+    monkeypatch.setattr(cli, "DriverStream", KeyedStream)
+    monkeypatch.setattr(cli, "simulate_path", dying)
+    cfg = write_config(tmp_path, "glioma_sweep", sweep={"lambda0": [0.2, 0.7], "lambda1": [0.08]})
+    with deadline(30):
+        assert main(["run", str(cfg)]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error: BrokenProcessPool: ")
+    assert multiprocessing.active_children() == []
 
 
 def test_run_band_failure_exits_2(tmp_path):

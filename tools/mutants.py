@@ -15,8 +15,8 @@ the CLI tests and the acceptance criteria run) and ``pyproject.toml`` under a te
 A mutant is killed when that run fails.  The script prints one line per
 run and exits 1 if a target is not found exactly once, if the unmutated
 suite fails, or if any mutant survives.  It is not part of the test suite;
-a change that alters a rule of the engine, the drivers or the analysis
-adds a mutant of it here.
+a change that alters a rule of the engine, the drivers, the analysis or
+the path map adds a mutant of it here.
 """
 
 from __future__ import annotations
@@ -97,9 +97,12 @@ MUTANTS = [
     ("lanes keep model errors from the scalar engine", ENGINE,
      "except (ArithmeticError, ValueError, RuntimeError):", "except ArithmeticError:"),
     ("workers' results joined in reverse range order", CLI,
-     "for done, error in parts:", "for done, error in reversed(parts):"),
+     "pool.map(_run_path_range, zip(cuts, cuts[1:]))", "pool.map(_run_path_range, [*zip(cuts, cuts[1:])][::-1])"),
     ("each worker's range loses its last index", CLI,
      "for i in range(*bounds)]", "for i in range(bounds[0], bounds[1] - 1)]"),
+    ("path map back on multiprocessing.Pool", CLI,
+     'ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))',
+     'multiprocessing.get_context("fork").Pool(workers)'),
 ]
 
 
