@@ -238,6 +238,8 @@ def _map_paths(fn: Callable[[int], object], n: int) -> list:
     cuts = [n * w // workers for w in range(workers + 1)]
     _path_job = fn
     try:
+        # fork is safe from Python 3.11, whose executor forks every worker
+        # before it starts its manager thread; 3.10 forks them on demand
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             return [result for part in pool.map(_run_path_range, zip(cuts, cuts[1:])) for result in part]
     finally:

@@ -2,31 +2,32 @@
 
 Usage, from the repository root:
 
-    python tools/seed_sweep.py [--seeds 1 2 3] [--out SEED_SWEEP.json]
+    python tools/seed_sweep.py
 
 Each ``configs/NAME.json`` runs through
 ``pdifmp.cli.main(["run", config, "--seed", seed, "--out", tmp])`` with the
-CLI's own worker count, its outputs in a temporary directory.  Without
-``--seeds`` a config runs at seeds 1-6, except ``weak_order`` at seeds 1-2
-(a few minutes per seed).  The output file is strict JSON: one record per
-run with the config, the seed, the exit code, the ``error:`` line on
-standard error (or null) and the entries of ``summary.json`` (null when the
-run wrote none; NaN and infinities written as null), then each config's
-pass count.  The script changes no config, band or seed: a study that fails
-at some seed is reported, not tuned.
+CLI's own worker count, its outputs in a temporary directory.  A config runs
+at seeds 1-6, except ``weak_order`` at seeds 1-2 (a few minutes per seed).
+The results go to ``SEED_SWEEP.json`` at the repository root as strict
+JSON: one record per run with the config, the seed, the exit code, the
+``error:`` line on standard error (or null) and the entries of
+``summary.json`` (null when the run wrote none; NaN and infinities written
+as null), then each config's pass count.  The script changes no config,
+band or seed: a study that fails at some seed is reported, not tuned.
 
 Runs at nearby seeds are not independent.  ``tem_vs_tsm`` keys replication
 ``s`` as ``(seed + s, 0)``, so seeds S and S + 1 share all but one of their
 replications per level; ``weak_error`` keys level ``li`` with the seed
 ``seed + li``, so level 1 at seed S draws the streams of level 0 at seed
-S + 1.  The strong studies and the sweep key paths by ``(seed, path_id)``.
+S + 1.  So a pass count over seeds 1-6 is not a count of independent runs:
+``tem_vs_tsm`` at seeds 1-6 is about one independent sample.  The strong
+studies and the sweep key paths by ``(seed, path_id)``.
 
 It is not part of the test suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -62,14 +63,10 @@ def run(config: Path, seed: int) -> dict:
             "summary": summary}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", help="seeds for every config (default: per config)")
-    parser.add_argument("--out", default="SEED_SWEEP.json", help="output file (default: SEED_SWEEP.json)")
-    args = parser.parse_args(argv)
+def main() -> int:
     runs = []
     for config in sorted((ROOT / "configs").glob("*.json")):
-        for seed in args.seeds or SEEDS.get(config.stem, DEFAULT_SEEDS):
+        for seed in SEEDS.get(config.stem, DEFAULT_SEEDS):
             start = time.perf_counter()
             record = run(config, seed)
             runs.append(record)
@@ -80,7 +77,8 @@ def main(argv: list[str] | None = None) -> int:
         counts = passed.setdefault(record["config"], {"exit_0": 0, "runs": 0})
         counts["exit_0"] += record["exit"] == cli.EXIT_OK
         counts["runs"] += 1
-    Path(args.out).write_text(json.dumps({"runs": runs, "passed": passed}, indent=2, allow_nan=False) + "\n")
+    text = json.dumps({"runs": runs, "passed": passed}, indent=2, allow_nan=False)
+    (ROOT / "SEED_SWEEP.json").write_text(text + "\n")
     for name, counts in passed.items():
         print(f"{name}: {counts['exit_0']} of {counts['runs']} runs exit 0")
     return 0
