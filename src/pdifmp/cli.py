@@ -218,16 +218,18 @@ def _worker_count(n: int) -> int:
 
 
 def _run_path_range(bounds: tuple[int, int]) -> list:
-    """A worker's results for paths ``lo..hi-1``."""
+    """One range's results, for paths ``lo..hi-1``."""
     return [_path_job(i) for i in range(*bounds)]
 
 
 def _map_paths(fn: Callable[[int], object], n: int) -> list:
     """``[fn(i) for i in range(n)]``.  Each ``fn(i)`` is pure in ``i``, so
-    contiguous index ranges run in forked worker processes.  The pool yields
-    the ranges in index order, so the results are joined in index order and
-    the earliest failing range raises first, which is the first error in
-    index order.  A worker that dies raises ``BrokenProcessPool``."""
+    contiguous index ranges, a few per worker, run in forked worker
+    processes.  The ranges are handed out last first, so callers put their
+    costliest indices last: the strong study's levels come finest last, and
+    the other maps' indices cost alike.  The results are joined in index
+    order, so the earliest failing range raises first, which is the first
+    error in index order.  A worker that dies raises ``BrokenProcessPool``."""
     global _path_job
     workers = _worker_count(n)
     if workers <= 1:
@@ -235,13 +237,18 @@ def _map_paths(fn: Callable[[int], object], n: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    cuts = [n * w // workers for w in range(workers + 1)]
+    # a few ranges per worker balance a ladder; a job per index costs more
+    # in hand-outs than it gains on maps of equal cost
+    parts = min(n, 4 * workers)
+    cuts = [n * p // parts for p in range(parts + 1)]
+    ranges = [*zip(cuts, cuts[1:])]
     _path_job = fn
     try:
         # fork is safe from Python 3.11, whose executor forks every worker
         # before it starts its manager thread; 3.10 forks them on demand
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return [result for part in pool.map(_run_path_range, zip(cuts, cuts[1:])) for result in part]
+            futures = [pool.submit(_run_path_range, bounds) for bounds in reversed(ranges)]
+            return [result for future in reversed(futures) for result in future.result()]
     finally:
         _path_job = None
 
@@ -256,12 +263,16 @@ StudyResult = tuple[list[str], list[list], dict, bool]
 
 def _run_strong_convergence(cfg: ExperimentConfig, models: list[BuiltModel], out: Path) -> StudyResult:
     (built,) = models
-    rows = []
-    for li, h in enumerate(cfg.h_list):
+
+    def level(li: int) -> tuple[float, float]:
         path_ids = range(li * cfg.paths, (li + 1) * cfg.paths)
-        rmse, se = strong_error_of_rows(
-            coupled_distance_rows(built.model, built.em, built.exact, cfg.seed, path_ids, h)
+        return strong_error_of_rows(
+            coupled_distance_rows(built.model, built.em, built.exact, cfg.seed, path_ids, cfg.h_list[li])
         )
+
+    rows = []
+    # h_list is strictly decreasing, so the costliest level is mapped last
+    for h, (rmse, se) in zip(cfg.h_list, _map_paths(level, len(cfg.h_list))):
         rows.append([h, rmse, se, cfg.paths])
         print(f"h={h:g} rmse={rmse:.6g} se={se:.3g} paths={cfg.paths}")
     slope, intercept = fit_slope(rows)

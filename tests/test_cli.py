@@ -259,12 +259,17 @@ STRONG_BYTES = {
 
 
 @pytest.mark.parametrize("case", sorted(STRONG_BYTES))
-def test_strong_study_output_bytes(tmp_path, case):
+def test_strong_study_output_bytes(tmp_path, monkeypatch, case):
     overrides, digests = STRONG_BYTES[case]
-    cfg = write_config(tmp_path, "convergence_example2", slope_band=[-10.0, 10.0], **overrides)
-    assert main(["run", str(cfg)]) == EXIT_OK
-    out = tmp_path / "out"
-    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        out = tmp_path / f"out-{workers}"
+        cfg = write_config(tmp_path, "convergence_example2", slope_band=[-10.0, 10.0], out_dir=str(out), **overrides)
+        assert main(["run", str(cfg)]) == EXIT_OK
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests, (
+            f"{workers} workers"
+        )
+        assert multiprocessing.active_children() == []
 
 
 # sha256 of each output of a small run of the other three studies, taken
@@ -335,7 +340,7 @@ def test_study_output_bytes(tmp_path, monkeypatch, experiment):
 def test_path_map_joins_ranges_in_index_order(monkeypatch):
     for workers in (1, 2, 3):
         use_workers(monkeypatch, workers)
-        for n in (1, 2, 7):
+        for n in (1, 2, 7, 37):
             assert cli._map_paths(lambda i: i * i, n) == [i * i for i in range(n)]
     assert multiprocessing.active_children() == []
 
@@ -349,8 +354,11 @@ class KeyedStream(DriverStream):
 
 
 # per study: overrides, the engine function it calls and the keys of the
-# paths made to diverge, one in each worker's range at 2 workers
+# calls made to diverge, two in different ranges of the map at 2 workers: a
+# replication or sweep point is keyed by its stream, a strong level by its
+# first path id (here the first and the last level)
 DIVERGING = {
+    "convergence_example2": ({}, "coupled_distance_rows", {0, 16}),
     "glioma_sweep": ({"sweep": {"lambda0": [0.2, 0.3, 0.5, 0.7], "lambda1": [0.08]}}, "simulate_path",
                      {(7, 1), (7, 3)}),
     "tem_vs_tsm": ({"seeds": 5}, "simulate_coupled_pair", {(8, 0), (11, 0)}),
@@ -379,9 +387,9 @@ def test_worker_failure_reported_as_serial(tmp_path, monkeypatch, capsys, experi
     real = getattr(cli, engine)
 
     def diverging(model, *args, **kwargs):
-        stream = next(a for a in args if isinstance(a, KeyedStream))
-        if stream.key in bad:
-            raise SimulationDivergedError(0.5, (math.inf, 0.0), f"path {stream.key}")
+        (key,) = [a.key if isinstance(a, KeyedStream) else a.start for a in args if isinstance(a, (KeyedStream, range))]
+        if key in bad:
+            raise SimulationDivergedError(0.5, (math.inf, 0.0), f"path {key}")
         return real(model, *args, **kwargs)
 
     monkeypatch.setattr(cli, "DriverStream", KeyedStream)
@@ -402,7 +410,7 @@ def test_worker_failure_reported_as_serial(tmp_path, monkeypatch, capsys, experi
 
 def test_dead_worker_ends_the_run(tmp_path, monkeypatch, capsys):
     # os._exit in the pytest process itself would end pytest, so the
-    # map always runs at 2 workers here: paths 5 and 1 are in the second range
+    # map always runs at 2 workers here, where every index runs in a worker
     use_workers(monkeypatch, 2)
     with deadline(30), pytest.raises(BrokenProcessPool):
         cli._map_paths(lambda i: os._exit(3) if i == 5 else i, 8)

@@ -97,7 +97,11 @@ MUTANTS = [
     ("lanes keep model errors from the scalar engine", ENGINE,
      "except (ArithmeticError, ValueError, RuntimeError):", "except ArithmeticError:"),
     ("workers' results joined in reverse range order", CLI,
-     "pool.map(_run_path_range, zip(cuts, cuts[1:]))", "pool.map(_run_path_range, [*zip(cuts, cuts[1:])][::-1])"),
+     "ranges = [*zip(cuts, cuts[1:])]", "ranges = [*zip(cuts, cuts[1:])][::-1]"),
+    ("futures joined in hand-out order", CLI,
+     "for future in reversed(futures) for result", "for future in futures for result"),
+    ("the strong level job runs the previous level's step", CLI,
+     "cfg.seed, path_ids, cfg.h_list[li])", "cfg.seed, path_ids, cfg.h_list[li - 1])"),
     ("each worker's range loses its last index", CLI,
      "for i in range(*bounds)]", "for i in range(bounds[0], bounds[1] - 1)]"),
     ("path map back on multiprocessing.Pool", CLI,

@@ -7,21 +7,23 @@ Usage, from the repository root:
 Each ``configs/NAME.json`` runs through
 ``pdifmp.cli.main(["run", config, "--seed", seed, "--out", tmp])`` with the
 CLI's own worker count, its outputs in a temporary directory.  A config runs
-at seeds 1-6, except ``weak_order`` at seeds 1-2 (a few minutes per seed).
-The results go to ``SEED_SWEEP.json`` at the repository root as strict
-JSON: one record per run with the config, the seed, the exit code, the
-``error:`` line on standard error (or null) and the entries of
-``summary.json`` (null when the run wrote none; NaN and infinities written
-as null), then each config's pass count.  The script changes no config,
-band or seed: a study that fails at some seed is reported, not tuned.
+at seeds 1000, 2000, ..., 6000, except ``weak_order`` at seeds 1000 and 2000
+(a few minutes per seed).  The results go to ``SEED_SWEEP.json`` at the
+repository root as strict JSON: one record per run with the config, the
+seed, the exit code, the ``error:`` line on standard error (or null) and
+the entries of ``summary.json`` (null when the run wrote none; NaN and
+infinities written as null), then each config's pass count.  The script
+changes no config, band or seed: a study that fails at some seed is
+reported, not tuned.
 
-Runs at nearby seeds are not independent.  ``tem_vs_tsm`` keys replication
-``s`` as ``(seed + s, 0)``, so seeds S and S + 1 share all but one of their
-replications per level; ``weak_error`` keys level ``li`` with the seed
-``seed + li``, so level 1 at seed S draws the streams of level 0 at seed
-S + 1.  So a pass count over seeds 1-6 is not a count of independent runs:
-``tem_vs_tsm`` at seeds 1-6 is about one independent sample.  The strong
-studies and the sweep key paths by ``(seed, path_id)``.
+The seeds are 1000 apart, so no two runs of a config share a stream.
+Nearby seeds would: ``tem_vs_tsm`` keys replication ``s`` as
+``(seed + s, 0)``, so seeds S and S + 1 share all but one replication per
+level, and ``weak_error`` keys level ``li`` with the seed ``seed + li``, so
+level 1 at seed S draws the streams of level 0 at seed S + 1.  The shipped
+configs have at most 50 replications and 3 levels, well under 1000, so each
+pass count counts independent runs.  The strong studies and the sweep key
+paths by ``(seed, path_id)``, which keeps any two seeds apart.
 
 It is not part of the test suite.
 """
@@ -41,9 +43,11 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from pdifmp import cli  # noqa: E402
 
-DEFAULT_SEEDS = range(1, 7)
+# 1000 apart, more than any config's replications or levels, so that no
+# two runs share a stream
+DEFAULT_SEEDS = range(1000, 7000, 1000)
 # seeds per config where the default would take too long
-SEEDS = {"weak_order": range(1, 3)}
+SEEDS = {"weak_order": range(1000, 3000, 1000)}
 
 
 def run(config: Path, seed: int) -> dict:
