@@ -37,9 +37,9 @@ substream ``s``.
   ``sqrt(h)`` as one float64 array, one per grid cell in time order;
   blocks of consecutive segments concatenate to one stream, and so do the
   blocks a long segment is split into.  ``h = 0`` gives zeros and draws
-  nothing.  A single path that diverges draws Wiener increments only
-  through its failing block; a coupled pair draws every block of a segment
-  before either side steps it.
+  nothing.  A path or a coupled pair that diverges draws Wiener
+  increments only through its failing block: both sides of a pair step
+  each block before the next is drawn.
 
 Lockstep lanes (``jump_engine.coupled_distance_rows``, a level's paths as
 one lane group) draw per substream in the same order from one stream,

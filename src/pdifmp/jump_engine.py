@@ -12,21 +12,22 @@ consumers sharing one driver stream walk identical grids.
 
 Every path runs from the model's initial state at time 0 to the model's
 horizon: the model is the only source of the simulation window.  The grid
-never depends on the state, so a path is simulated in two parts: a plan
-(``_plan``) that yields each proposal's segment grid with its Wiener
-increments in blocks of at most ``_BLOCK`` cells, and a side loop
-(``_run_side``) that steps one integrator over the plan, applies the
-thinning test and the jumps, and records a ``Trajectory``.  A segment of
-more than one block draws each block from the stream only when the side
-loop reaches it, so a single path holds one block of a long segment, never
-the whole segment.  ``simulate_path`` runs the side loop once; the two
-sides of a coupled pair run it one after the other over one materialised
-plan, which holds every block of a segment; ``next_jump`` runs it until
-the first accepted proposal.  A proposal is two steps, each a function of
+never depends on the state, so one walk (``_walk``) steps one integrator
+or the two sides of a coupled pair over the segments that ``_segments``
+lays out from the proposal times.  Per segment it computes the recorded
+times once and draws the Wiener increments in blocks of at most ``_BLOCK``
+cells, each when it reaches it; every side steps a block before the next
+is drawn, so a path or a pair holds one block of a long segment, never the
+whole segment or path.  Each side (``_Side``) keeps its own state, mode,
+recorded rows and jumps.  ``simulate_path`` and ``simulate_coupled_pair``
+walk one and two sides to the horizon; ``next_jump`` walks one side to
+its first accepted proposal.  A proposal is two steps, each a function of
 its uniforms: ``_thinning_test`` takes the proposal's thinning uniform and
 accepts or rejects it; ``_jump`` takes its kernel slots, samples the new
-mode and applies the jump transform.  A side reads the kernel slots only of
-an accepted proposal it applies.
+mode and applies the jump transform.  The walk reads a tested proposal's
+thinning uniform once; each side tests its own state, and only a side that
+accepts reads the kernel slots.  A pair raises the error of the first
+block or proposal at which either side fails, side a first at the same one.
 
 ``coupled_distance_rows`` runs many coupled pairs of the GBM flows at
 stride 1 in lockstep, as numpy lanes, one path per lane, and reduces them
@@ -81,13 +82,13 @@ from .errors import (
     SimulationDivergedError,
 )
 
-# Proposals a path may make before the plan raises RunawayRateError.
+# Proposals a path may make before the walk raises RunawayRateError.
 PROPOSAL_CAP = 10_000_000
 
 # A segment's Wiener increments are drawn, and its cells stepped, in blocks
 # of at most this many: a block's increments become a Python list and its
-# rows one array at once, so a single path's memory is bounded by one block
-# however long its segments are.
+# rows one array at once, so the memory of a path or a pair is bounded by
+# one block however long its segments are.
 _BLOCK = 4096
 
 # Lockstep lanes step in blocks of at most this many lane-cells: both
@@ -170,14 +171,6 @@ def _check_args(h, stride) -> None:
         raise ValueError(f"stride must be a positive integer or None, got {stride!r}")
 
 
-def _wiener_blocks(stream: DriverStream, grid: JumpAdaptedGrid):
-    """Yield ``(start, dws)`` for the ``_BLOCK``-cell blocks of ``grid``,
-    each drawn when it is reached."""
-    n = grid.n_cells
-    for start in range(0, n, _BLOCK):
-        yield start, stream.wiener_block(min(_BLOCK, n - start), grid.h_local)
-
-
 def _segments(model: PDifMPModel, stream: DriverStream, h: float):
     """Yield ``(k, t, grid, tested)`` for proposals ``k = 1, 2, ...``.
 
@@ -198,27 +191,6 @@ def _segments(model: PDifMPModel, stream: DriverStream, h: float):
             return
         t_prev = t
     raise RunawayRateError(f"proposal cap {PROPOSAL_CAP} exceeded; rate_bound is likely far above the rate")
-
-
-def _plan(model: PDifMPModel, stream: DriverStream, h: float):
-    """Yield ``(k, t, grid, blocks, tested)``: the ``_segments`` with each
-    segment's Wiener increments.
-
-    ``blocks`` holds them as ``(start, dws)`` pairs, ``dws`` the increments
-    of cells ``start`` to ``start + len(dws) - 1`` (None for an empty
-    segment).  It is a tuple of one pair for a segment of at most ``_BLOCK``
-    cells, drawn at once.  A longer segment's is a generator that draws
-    each block from the stream when it is reached, so a consumer takes every
-    block of a segment before it asks the plan for the next one.
-    """
-    for k, t, grid, tested in _segments(model, stream, h):
-        if grid is None:
-            blocks = None
-        elif grid.n_cells <= _BLOCK:
-            blocks = ((0, stream.wiener_block(grid.n_cells, grid.h_local)),)
-        else:
-            blocks = _wiener_blocks(stream, grid)
-        yield k, t, grid, blocks, tested
 
 
 def _thinning_test(model: PDifMPModel, u: float, t: float, y: tuple, v: int) -> tuple[float, bool]:
@@ -261,125 +233,163 @@ def _jump(model: PDifMPModel, slots: tuple[float, float], t: float, y: tuple, v:
     return out, v
 
 
-def _run_side(
+class _Side:
+    """One integrator's part of a walk: its state and mode, its recorded
+    rows, its jumps, hint excursions and rate counts."""
+
+    __slots__ = ("integrator", "y", "v", "flat", "value_parts", "jump_times", "modes", "post_jumps",
+                 "exc", "n_acc", "violations", "rmin", "rmax")
+
+    def __init__(self, integrator, y: tuple, v: int, exc: list[int] | None) -> None:
+        self.integrator = integrator
+        self.y = y
+        self.v = v
+        self.flat: list[float] = list(y)
+        self.value_parts: list[np.ndarray] = []
+        self.jump_times: list[float] = [0.0]
+        self.modes: list[int] = [v]
+        self.post_jumps: list[float] = []
+        self.exc = exc
+        self.n_acc = 0
+        self.violations = 0
+        self.rmin = math.inf
+        self.rmax = -math.inf
+
+
+def _walk(
     model: PDifMPModel,
-    integrator,
+    integrators: tuple,
     stream: DriverStream,
-    plan,
+    h: float,
     stride: int | None,
     first_jump: bool = False,
-) -> Trajectory:
-    """Step one integrator from the model's initial state over ``plan``,
-    thinning and jumping.
+) -> list[Trajectory]:
+    """One ``Trajectory`` per integrator, each stepped from the model's
+    initial state over the ``_segments`` of ``stream`` as the module
+    docstring describes.
 
     ``stride`` controls recording as in ``simulate_path``.  With
-    ``first_jump`` the walk stops at the first accepted proposal without
-    applying its jump.
+    ``first_jump`` (one side) the walk stops at the first accepted proposal
+    without applying its jump.  With two sides a divergence error names the
+    side (``a`` or ``b``) that failed first, and the two trajectories share
+    one ``times`` array.
     """
-    y = model.initial_state.y
-    v = model.initial_state.v
-    bound = model.rate_bound
+    y, v = model.initial_state.y, model.initial_state.v
     hint = model.state_space_hint
-    exc = [0] * len(hint) if hint is not None else None
-    run_cells = integrator.run_cells
+    sides = []
+    for integrator in integrators:
+        sides.append(_Side(integrator, y, v, [0] * len(hint) if hint is not None else None))
+    bound = model.rate_bound
     d = len(y)
     # with nothing inside a segment recorded or inspected, only its end
     # state is kept
-    end_only = stride is None and exc is None
-
-    # the start and the end-only segment ends as flat floats, the other
-    # segments' recorded cells as array parts
+    end_only = stride is None and hint is None
+    # the start and the end-only segment ends as floats, the other
+    # segments' recorded times as array parts; each side's flat and
+    # value_parts hold the matching values
     times: list = [0.0]
-    flat: list[float] = list(y)
     time_parts: list[np.ndarray] = []
-    value_parts: list[np.ndarray] = []
-    jump_times: list[float] = [0.0]
-    modes: list[int] = [v]
-    post_jumps: list[float] = []
     n_prop = 0
-    n_acc = 0
     n_cells = 0
-    violations = 0
-    rmin = math.inf
-    rmax = -math.inf
-
-    for k, t, grid, blocks, tested in plan:
-        if grid is not None:
-            n = grid.n_cells
-            h_loc = grid.h_local
-            if stride == 1:
-                # slices keep every cell
+    try:
+        for k, t, grid, tested in _segments(model, stream, h):
+            if grid is not None:
+                n = grid.n_cells
+                h_loc = grid.h_local
+                # 0-based recorded cells; None keeps every cell, by slices
                 keep = None
-                time_parts.append(grid.points()[1:])
-            elif not end_only:
-                # 0-based recorded cells, at the times grid.points() gives
-                keep = np.asarray(_recorded_cells(n, n_cells, stride)) - 1
-                ts = grid.left + h_loc * (keep + 1)
-                ts[-1] = grid.right
-                time_parts.append(ts)
-            for start, cells in blocks:
-                out: list[float] = []
-                try:
-                    y_end = run_cells(model, y, v, h_loc, cells.tolist(), out)
-                    finite = all(map(math.isfinite, y_end))
-                except OverflowError:
-                    finite = False
-                if not finite:
-                    raise _flow_diverged(model, integrator, y, v, grid, start, cells)
-                y = y_end
+                if stride == 1:
+                    time_parts.append(grid.points()[1:])
+                elif not end_only:
+                    # at the times grid.points() gives
+                    keep = np.asarray(_recorded_cells(n, n_cells, stride)) - 1
+                    ts = grid.left + h_loc * (keep + 1)
+                    ts[-1] = grid.right
+                    time_parts.append(ts)
+                for start in range(0, n, _BLOCK):
+                    dws = stream.wiener_block(n - start if n - start < _BLOCK else _BLOCK, h_loc)
+                    cells = dws.tolist()
+                    if keep is not None:
+                        rows = keep[(keep >= start) & (keep < start + _BLOCK)] - start
+                    for side in sides:
+                        out: list[float] = []
+                        try:
+                            y_end = side.integrator.run_cells(model, side.y, side.v, h_loc, cells, out)
+                            finite = all(map(math.isfinite, y_end))
+                        except OverflowError:
+                            finite = False
+                        if not finite:
+                            raise _flow_diverged(model, side.integrator, side.y, side.v, grid, start, dws)
+                        side.y = y_end
+                        if end_only:
+                            continue
+                        arr = np.array(out).reshape(-1, d)
+                        if side.exc is not None:
+                            for j, (lo, hi) in enumerate(hint):
+                                side.exc[j] += int(np.count_nonzero((arr[:, j] < lo) | (arr[:, j] > hi)))
+                        side.value_parts.append(arr if keep is None else arr[rows])
                 if end_only:
-                    continue
-                arr = np.array(out).reshape(-1, d)
-                if exc is not None:
-                    for j, (lo, hi) in enumerate(hint):
-                        exc[j] += int(np.count_nonzero((arr[:, j] < lo) | (arr[:, j] > hi)))
-                if keep is not None:
-                    arr = arr[keep[(keep >= start) & (keep < start + _BLOCK)] - start]
-                value_parts.append(arr)
-            if end_only:
-                times.append(grid.right)
-                flat += y
-            n_cells += n
-        if not tested:
-            break
-        n_prop += 1
-        lam, accepted = _thinning_test(model, stream.thinning_uniform(k), t, y, v)
-        if lam < rmin:
-            rmin = lam
-        if lam > rmax:
-            rmax = lam
-        if lam > bound:
-            violations += 1
-        if accepted:
-            n_acc += 1
-            if first_jump:
+                    times.append(grid.right)
+                    for side in sides:
+                        side.flat += side.y
+                n_cells += n
+            if not tested:
                 break
-            y, v = _jump(model, stream.kernel_slots(k), t, y, v)
-            jump_times.append(t)
-            modes.append(v)
-            post_jumps += y
+            n_prop += 1
+            u = stream.thinning_uniform(k)
+            for side in sides:
+                lam, accepted = _thinning_test(model, u, t, side.y, side.v)
+                if lam < side.rmin:
+                    side.rmin = lam
+                if lam > side.rmax:
+                    side.rmax = lam
+                if lam > bound:
+                    side.violations += 1
+                if accepted:
+                    side.n_acc += 1
+                    if not first_jump:
+                        side.y, side.v = _jump(model, stream.kernel_slots(k), t, side.y, side.v)
+                        side.jump_times.append(t)
+                        side.modes.append(side.v)
+                        side.post_jumps += side.y
+            if first_jump and accepted:
+                break
+    except SimulationDivergedError as err:
+        # only a side's block or jump raises it, so ``side`` is the side that failed
+        if len(sides) == 1:
+            raise
+        raise SimulationDivergedError(
+            err.t, err.y, f"side {'ab'[sides.index(side)]}, {side.integrator.kind}: {err.detail}"
+        ) from None
 
-    stats = PathStats(
-        n_proposals=n_prop,
-        n_accepted=n_acc,
-        n_cells=n_cells,
-        bound_violations=violations,
-        rate_min=rmin if n_prop else math.nan,
-        rate_max=rmax if n_prop else math.nan,
-        hint_excursions=tuple(exc) if exc is not None else (),
-    )
-    times_arr, values_arr = np.asarray(times), np.asarray(flat).reshape(-1, d)
+    times_arr = np.asarray(times)
     if time_parts:
         times_arr = np.concatenate([times_arr, *time_parts])
-        values_arr = np.concatenate([values_arr, *value_parts])
-    return Trajectory(
-        times=times_arr,
-        values=values_arr,
-        jump_times=np.asarray(jump_times),
-        interval_modes=np.asarray(modes, dtype=np.int64),
-        post_jump_values=np.asarray(post_jumps).reshape(-1, d),
-        stats=stats,
-    )
+    trajectories = []
+    for side in sides:
+        values_arr = np.asarray(side.flat).reshape(-1, d)
+        if time_parts:
+            values_arr = np.concatenate([values_arr, *side.value_parts])
+        stats = PathStats(
+            n_proposals=n_prop,
+            n_accepted=side.n_acc,
+            n_cells=n_cells,
+            bound_violations=side.violations,
+            rate_min=side.rmin if n_prop else math.nan,
+            rate_max=side.rmax if n_prop else math.nan,
+            hint_excursions=tuple(side.exc) if side.exc is not None else (),
+        )
+        trajectories.append(
+            Trajectory(
+                times=times_arr,
+                values=values_arr,
+                jump_times=np.asarray(side.jump_times),
+                interval_modes=np.asarray(side.modes, dtype=np.int64),
+                post_jump_values=np.asarray(side.post_jumps).reshape(-1, d),
+                stats=stats,
+            )
+        )
+    return trajectories
 
 
 def next_jump(model: PDifMPModel, integrator, stream: DriverStream, h: float) -> Trajectory:
@@ -394,7 +404,7 @@ def next_jump(model: PDifMPModel, integrator, stream: DriverStream, h: float) ->
     horizon with ``stats.n_accepted == 0``.
     """
     _check_args(h, 1)
-    return _run_side(model, integrator, stream, _plan(model, stream, h), 1, first_jump=True)
+    return _walk(model, (integrator,), stream, h, 1, first_jump=True)[0]
 
 
 def simulate_path(
@@ -415,7 +425,7 @@ def simulate_path(
     cell whatever the stride.
     """
     _check_args(h, stride)
-    return _run_side(model, integrator, stream, _plan(model, stream, h), stride)
+    return _walk(model, (integrator,), stream, h, stride)[0]
 
 
 def simulate_coupled_pair(
@@ -437,21 +447,8 @@ def simulate_coupled_pair(
     (``a`` or ``b``) and its integrator's kind.
     """
     _check_args(h, stride)
-    # both sides read every block, so a segment of more than one block has
-    # its blocks drawn into a tuple before the plan draws the next segment's
-    plan = [
-        step if step[2] is None or step[2].n_cells <= _BLOCK else (*step[:3], tuple(step[3]), step[4])
-        for step in _plan(model, stream, h)
-    ]
-    pair: list[Trajectory] = []
-    for side, integrator in (("a", integrator_a), ("b", integrator_b)):
-        try:
-            pair.append(_run_side(model, integrator, stream, plan, stride))
-        except SimulationDivergedError as err:
-            raise SimulationDivergedError(
-                err.t, err.y, f"side {side}, {integrator.kind}: {err.detail}"
-            ) from None
-    return pair[0], pair[1]
+    a, b = _walk(model, (integrator_a, integrator_b), stream, h, stride)
+    return a, b
 
 
 def _squared_distances(pair: tuple[Trajectory, Trajectory]) -> np.ndarray:
@@ -517,7 +514,7 @@ def _lockstep_rows(model: PDifMPModel, integrator_a, integrator_b, seed: int, pa
     which some lane's segment ends, each with its own local step, and the
     stepped rows take the squared distances.  There a lane that tests a proposal runs, on side a and then
     side b, ``_thinning_test`` on its thinning uniform and, if accepted,
-    ``_jump`` on its kernel slots, as ``_run_side`` does over the stream.  A
+    ``_jump`` on its kernel slots, as ``_walk`` does over the stream.  A
     lane's one cursor is its next event.
     """
     n_lanes = len(path_ids)

@@ -270,11 +270,31 @@ def test_coupled_divergence_names_side_and_integrator():
     built = build_model("example1", rate_value=1.0, magnitude_rate=1e-4)
     with pytest.raises(SimulationDivergedError, match="side a, euler_maruyama: overflow in the"):
         simulate_coupled_pair(built.model, built.em, built.exact, fork_for_path(3, 1), h=0.25)
-    # representable jumps: only the second side's flow overflows
+    # representable jumps: only the second side's flow overflows, and the
+    # pair draws what that flow's single path draws before it fails
+    def single_failure(model, flow):
+        stream = fork_for_path(3, 1)
+        with pytest.raises(SimulationDivergedError) as info:
+            simulate_path(model, flow, stream, h=0.25)
+        return info.value, stream.counters
+
     calm = build_model("example1", rate_value=1.0, magnitude_rate=1.0)
     runaway = ExactGBMFlow(mu=1e6, sigma=0.0)
+    stream = fork_for_path(3, 1)
     with pytest.raises(SimulationDivergedError, match="side b, exact_gbm: overflow in the flow"):
-        simulate_coupled_pair(calm.model, calm.em, runaway, fork_for_path(3, 1), h=0.25)
+        simulate_coupled_pair(calm.model, calm.em, runaway, stream, h=0.25)
+    assert stream.counters == single_failure(calm.model, runaway)[1]
+    # both sides fail, side b in the second segment (block) and side a in
+    # the fifth: the pair raises side b's error
+    late, early = ExactGBMFlow(mu=1000.0, sigma=0.0), ExactGBMFlow(mu=2000.0, sigma=0.0)
+    (err, counters), (late_err, _) = single_failure(calm.model, early), single_failure(calm.model, late)
+    assert err.t < late_err.t
+    stream = fork_for_path(3, 1)
+    with pytest.raises(SimulationDivergedError) as info:
+        simulate_coupled_pair(calm.model, late, early, stream, h=0.25)
+    assert (info.value.t, info.value.y) == (err.t, err.y)
+    assert info.value.detail == f"side b, exact_gbm: {err.detail}"
+    assert stream.counters == counters
 
 
 def divergence_cases():
@@ -312,11 +332,12 @@ def test_block_divergence_matches_stepping(case):
     h = 0.01
     y, v = model.initial_state.y, 0
     expected = None
-    for _, _, grid, blocks, _ in jump_engine._plan(model, fork_for_path(2, 0), h):
+    stream = fork_for_path(2, 0)
+    for _, _, grid, _ in jump_engine._segments(model, stream, h):
         if grid is None:
             continue
         pts = grid.points()
-        dws = np.concatenate([block for _, block in blocks])
+        dws = stream.wiener_block(grid.n_cells, grid.h_local)
         for i, dw in enumerate(dws.tolist()):
             try:
                 row = integrator.step(model, y, v, grid.h_local, dw)
@@ -451,8 +472,8 @@ def assert_stride_recording(built, other, h):
     two sides of a coupled pair with ``other`` record the times and values
     of single runs of each integrator at the same stride."""
     model = built.model
-    plan = jump_engine._plan(model, fork_for_path(21, 0), h)
-    lengths = [grid.n_cells for _, _, grid, _, _ in plan if grid is not None]
+    segments = jump_engine._segments(model, fork_for_path(21, 0), h)
+    lengths = [grid.n_cells for _, _, grid, _ in segments if grid is not None]
     assert max(lengths) > 4096
     ends = np.cumsum([0] + lengths)
     full = simulate_path(model, built.em, fork_for_path(21, 0), h=h, stride=1)
@@ -489,26 +510,36 @@ def test_stride_recording_preserves_values():
 
 @pytest.mark.slow
 def test_long_segment_memory_is_bounded_by_one_block():
-    # a single path draws and steps a long segment one 4096-cell block at a
-    # time and computes only its recorded times: the traced peak of one
-    # proposal-free glioma segment of 10^5 cells at stride 1000 stays within
-    # 256 KB of that of a 2.5e4-cell segment (a whole-segment Wiener block
-    # and time grid would add about 1.6 MB)
-    def traced_peak(horizon):
+    # a single path and a coupled pair draw and step a long segment one
+    # 4096-cell block at a time, both sides of the pair stepping each block
+    # before the next is drawn, and compute only the recorded times: the
+    # traced peak over one proposal-free glioma segment of 10^5 cells stays
+    # within 256 KB of that over a 2.5e4-cell segment (a whole-segment
+    # Wiener block and time grid would add about 1.6 MB)
+    def path(built, stream, stride):
+        return (simulate_path(built.model, built.em, stream, h=1e-4, stride=stride),)
+
+    def pair(built, stream, stride):
+        return simulate_coupled_pair(built.model, built.em, built.splitting, stream, h=1e-4, stride=stride)
+
+    def traced_peak(run, horizon, stride):
         built = build_model("glioma", lambda0=0.01, lambda1=0.0, horizon=horizon)
         tracemalloc.start()
         try:
-            traj = simulate_path(built.model, built.em, fork_for_path(7, 1), h=1e-4, stride=1000)
+            trajs = run(built, fork_for_path(7, 1), stride)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert traj.stats.n_proposals == 0 and len(traj.times) == traj.stats.n_cells // 1000 + 1
-        return peak, traj.stats.n_cells
+        n_cells = trajs[0].stats.n_cells
+        for traj in trajs:
+            assert traj.stats.n_proposals == 0 and len(traj.times) == (n_cells // stride if stride else 1) + 1
+        return peak, n_cells
 
-    traced_peak(0.1)  # numpy's and the flows' first-call set-up is not a path's
-    (short, n_short), (long, n_long) = traced_peak(2.5), traced_peak(10.0)
-    assert n_short == 25_000 and n_long == 100_000
-    assert long - short < 256 * 1024
+    for run, stride in ((path, 1000), (pair, 1000), (pair, None)):
+        traced_peak(run, 0.1, stride)  # numpy's and the flows' first-call set-up is not a path's
+        (short, n_short), (long, n_long) = traced_peak(run, 2.5, stride), traced_peak(run, 10.0, stride)
+        assert n_short == 25_000 and n_long == 100_000
+        assert long - short < 256 * 1024, (run.__name__, stride, long - short)
 
 
 # -- coupling ---------------------------------------------------------------------

@@ -79,6 +79,10 @@ MUTANTS = [
      "u, slots = thinning[j][k - 1], kernel[j][k - 1]", "u, slots = thinning[j - 1][k - 1], kernel[j - 1][k - 1]"),
     ("lane side b tests side a's state", ENGINE,
      "if _thinning_test(model, u, t, y, v)[1]:", "if _thinning_test(model, u, t, (float(ya[j]),), v)[1]:"),
+    ("side b tests side a's state at a shared proposal", ENGINE,
+     "_thinning_test(model, u, t, side.y, side.v)", "_thinning_test(model, u, t, sides[0].y, side.v)"),
+    ("a pair's error is labelled with the other side", ENGINE,
+     "f\"side {'ab'[sides.index(side)]}, ", "f\"side {'ba'[sides.index(side)]}, "),
     ("magnitude uniform used as the mode uniform", ENGINE,
      "v = sample_mode(model.kernel, y, v, u_mode)", "v = sample_mode(model.kernel, y, v, u_mag)"),
     ("lane increments drawn at the nominal step", ENGINE,
